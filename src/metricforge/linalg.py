@@ -455,12 +455,14 @@ def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
 # Matrix exponential
 # ---------------------------------------------------------------------------
 
-def mat_exp(m, scale: complex = 1.0, *, exp_tol: float = EXP_TOL,
-            cond_max: float = COND_MAX) -> np.ndarray:
-    """exp(scale * M).
+def exp_propagator(m, *, exp_tol: float = EXP_TOL, cond_max: float = COND_MAX):
+    """Factor M once and return ``scale -> exp(scale * M)``.
 
-    Diagonalization path when the eigenvector matrix is well conditioned;
-    otherwise scaling-and-squaring with a truncated Taylor series.
+    The factor step decides the path: diagonalization M = V diag(lam) V^-1
+    when the eigenvector matrix is well conditioned (cond_max) and
+    reconstructs M, otherwise scaling-and-squaring with a truncated Taylor
+    series.  The decision does not depend on the scale, so a propagator
+    built once serves every time point of a trajectory.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -471,24 +473,41 @@ def mat_exp(m, scale: complex = 1.0, *, exp_tol: float = EXP_TOL,
         v = np.column_stack([p.right for p in pairs])
         vinv = inverse(v)
         if frob(v) * frob(vinv) < cond_max:
-            recon = v @ np.diag([p.value for p in pairs]) @ vinv
+            values = [p.value for p in pairs]
+            recon = v @ np.diag(values) @ vinv
             if frob(recon - a) <= 1e-8 * max(frob(a), 1e-300):
-                lam = np.array([np.exp(scale * p.value) for p in pairs])
-                return v @ (lam[:, None] * vinv)
+                def diagonal(scale: complex) -> np.ndarray:
+                    lam = np.array([np.exp(scale * x) for x in values])
+                    return v @ (lam[:, None] * vinv)
+                return diagonal
     except (SingularMatrix, DefectiveMatrix, NoConvergence):
         pass
-    # scaling and squaring with Taylor
-    b = scale * a
-    nb = frob(b)
-    s = max(0, int(math.ceil(math.log2(nb))) + 1) if nb > 0.5 else 0
-    b = b / (2 ** s)
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, 80):
-        term = term @ b / k
-        result = result + term
-        if frob(term) <= exp_tol * max(frob(result), 1.0):
-            break
-    for _ in range(s):
-        result = result @ result
-    return result
+
+    def taylor(scale: complex) -> np.ndarray:
+        # scaling and squaring with Taylor
+        b = scale * a
+        nb = frob(b)
+        s = max(0, int(math.ceil(math.log2(nb))) + 1) if nb > 0.5 else 0
+        b = b / (2 ** s)
+        result = np.eye(n, dtype=complex)
+        term = np.eye(n, dtype=complex)
+        for k in range(1, 80):
+            term = term @ b / k
+            result = result + term
+            if frob(term) <= exp_tol * max(frob(result), 1.0):
+                break
+        for _ in range(s):
+            result = result @ result
+        return result
+    return taylor
+
+
+def mat_exp(m, scale: complex = 1.0, *, exp_tol: float = EXP_TOL,
+            cond_max: float = COND_MAX) -> np.ndarray:
+    """exp(scale * M), by a one-off ``exp_propagator(M)``.
+
+    Diagonalization path when the eigenvector matrix is well conditioned;
+    otherwise scaling-and-squaring with a truncated Taylor series.  To
+    evaluate many scales of one M, build the propagator once instead.
+    """
+    return exp_propagator(m, exp_tol=exp_tol, cond_max=cond_max)(scale)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import numpy.linalg as npl
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from metricforge import dynamics, metric, models
-from metricforge.errors import NotPositive
+from metricforge import dynamics, linalg, metric, models
+from metricforge.errors import DefectiveMatrix, NotPositive
 
 RNG = np.random.default_rng(20240815)
 
@@ -82,6 +83,61 @@ def test_evolution_csv_and_json():
     obj = rec.to_jsonable()
     assert obj["times"] == [0.0, 1.0]
     assert obj["states"][0][0] == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# one factorization per trajectory
+# ---------------------------------------------------------------------------
+
+# exact EP of the doublet: 4 rho^2 (n + 1) = (omega - eps)^2
+EP_PARAMS = {"rho": 0.25, "epsilon": 0.5, "omega": 1.0, "n": 0}
+JORDAN3 = 0.7 * np.eye(3, dtype=complex) + np.diag([1.0, 1.0], 1)
+
+
+@pytest.mark.parametrize("params, outcome", [
+    ({"rho": 0.125}, None),            # diagonalization path
+    (EP_PARAMS, DefectiveMatrix),      # Taylor fallback
+], ids=["diagonalizable", "exact_ep"])
+def test_evolve_decomposes_h_once(monkeypatch, params, outcome):
+    h = models.build("jc_doublet", params).hamiltonian
+    original = linalg.eigendecompose
+    outcomes = []
+
+    def counted(*args, **kwargs):
+        try:
+            pairs = original(*args, **kwargs)
+        except Exception as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append(None)
+        return pairs
+
+    monkeypatch.setattr(linalg, "eigendecompose", counted)
+    rec = dynamics.evolve(h, np.array([0.6, 0.8j]), TIMES)
+    assert len(rec.states) == TIMES.size == 101
+    assert outcomes == [outcome]
+
+
+@pytest.mark.parametrize("h", [
+    models.build("jc_doublet", {"rho": 0.125}).hamiltonian,
+    models.build("jc_doublet", EP_PARAMS).hamiltonian,
+    JORDAN3,
+], ids=["diagonalizable", "exact_ep", "jordan3"])
+def test_evolve_states_equal_pointwise_mat_exp(h):
+    hbar = 0.7
+    psi0 = np.linspace(1.0, 2.0, h.shape[0]) * np.exp(0.3j * np.arange(h.shape[0]))
+    rec = dynamics.evolve(h, psi0, TIMES, hbar=hbar)
+    for t, state in zip(TIMES, rec.states):
+        assert np.array_equal(state, linalg.mat_exp(h, scale=-1j * t / hbar) @ psi0)
+
+
+def test_jordan_block_evolution_matches_expm():
+    hbar = 0.7
+    psi0 = np.array([0.2, -0.5j, 1.0])
+    rec = dynamics.evolve(JORDAN3, psi0, TIMES, hbar=hbar)
+    for t, state in zip(TIMES, rec.states):
+        ref = scipy.linalg.expm(-1j * t / hbar * JORDAN3) @ psi0
+        assert npl.norm(state - ref) <= 1e-12 * npl.norm(ref)
 
 
 # ---------------------------------------------------------------------------

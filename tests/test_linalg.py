@@ -142,7 +142,7 @@ def test_gram_matrix_psd(m):
 # matrix exponential
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
 def test_mat_exp_matches_scipy(n):
     a = random_complex(n)
     assert np.allclose(linalg.mat_exp(a), scipy.linalg.expm(a), atol=1e-10)
