@@ -26,7 +26,6 @@ from . import __version__, dynamics, linalg, metric, models, phase
 from .errors import BrokenPhase, InvalidParams, MetricForgeError
 
 DEFAULT_TOLS = {
-    "eig_tol": 1e-8,
     "herm_tol": 1e-10,
     "defect_tol": 1e-8,
     "biorth_tol": 1e-10,
@@ -275,7 +274,11 @@ def _das_from_input(res: ResolvedInput, tols: dict) -> metric.MetricOperator:
                 f"{res.instance.phase!r})")
         raise InvalidParams(
             "the das method needs a model input or an explicit 'das' block")
-    return metric.das_metric(res.das, herm_tol=tols["herm_tol"])
+    try:
+        return metric.das_metric(res.das, herm_tol=tols["herm_tol"],
+                                 biorth_tol=tols["biorth_tol"])
+    except ValueError as exc:  # DasConstruction.check: inconsistent block
+        raise InvalidParams(f"bad das block: {exc}") from None
 
 
 def _metric_entry(res: ResolvedInput, m: metric.MetricOperator,

@@ -28,7 +28,6 @@ HERM_TOL = 1e-10
 DEFECT_TOL = 1e-8
 EXP_TOL = 1e-12
 SINGULAR_TOL = 1e-13
-MATCH_TOL = 1e-8
 CLUSTER_TOL = 1e-7
 COND_MAX = 1e8
 
@@ -64,8 +63,10 @@ def frob(m) -> float:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its right eigenvector and the matching left
-    eigenvector (eigenvector of the adjoint with the conjugate eigenvalue)."""
+    """One eigenvalue with its right eigenvector and its left eigenvector
+    (eigenvector of the adjoint for the conjugate eigenvalue).  Both are
+    computed for this eigenvalue (above 2x2 from one shifted LU of M), so
+    they pair by construction."""
 
     value: complex
     right: np.ndarray
@@ -100,12 +101,26 @@ def _lu_factor(m: np.ndarray, singular_tol: float = SINGULAR_TOL):
 
 
 def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b from the LU of M; b is (n,) or (n, k)."""
     n = lu.shape[0]
     x = b[piv].astype(complex)
     for k in range(1, n):          # forward, unit lower triangle
         x[k] -= lu[k, :k] @ x[:k]
     for k in range(n - 1, -1, -1):  # backward
         x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
+
+
+def _lu_solve_adjoint(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M^H x = b from the LU of M (P M = L U, so M^H = U^H L^H P)."""
+    n = lu.shape[0]
+    y = b.astype(complex)
+    for k in range(n):              # forward, lower triangle U^H
+        y[k] = (y[k] - lu[:k, k].conj() @ y[:k]) / lu[k, k].conjugate()
+    for k in range(n - 2, -1, -1):  # backward, unit upper triangle L^H
+        y[k] -= lu[k + 1:, k].conj() @ y[k + 1:]
+    x = np.empty_like(y)
+    x[piv] = y
     return x
 
 
@@ -119,17 +134,12 @@ def solve(m, b) -> np.ndarray:
 
 
 def inverse(m, singular_tol: float = SINGULAR_TOL) -> np.ndarray:
-    """Matrix inverse via partial-pivot LU."""
+    """Matrix inverse via partial-pivot LU, all columns in one blocked solve."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("inverse needs a square matrix")
-    n = a.shape[0]
     lu, piv = _lu_factor(a, singular_tol)
-    inv = np.empty((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for j in range(n):
-        inv[:, j] = _lu_solve(lu, piv, eye[:, j])
-    return inv
+    return _lu_solve(lu, piv, np.eye(a.shape[0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -265,90 +275,120 @@ def _qr_eigvalues(m: np.ndarray, max_qr_iters: int | None = None) -> np.ndarray:
     return vals
 
 
-def _right_vector(m: np.ndarray, lam: complex, scale: float,
-                  deflate_against: list[np.ndarray]) -> np.ndarray:
-    """Right eigenvector by inverse iteration with a slightly perturbed shift.
+def _eig2_vectors(m: np.ndarray, vals) -> list[np.ndarray]:
+    """Eigenvectors of a 2x2 for its two sorted eigenvalues vals."""
+    v1 = _eig2_vector(m, vals[0])
+    if abs(vals[0] - vals[1]) <= CLUSTER_TOL * max(frob(m), 1e-300):
+        # independent second direction for (near-)degenerate case
+        v2 = np.array([-v1[1].conjugate(), v1[0].conjugate()])
+        r2 = m @ v2 - vals[1] * v2
+        if np.sqrt(np.sum(np.abs(r2) ** 2)) > EIG_TOL * max(frob(m), 1e-300):
+            v2 = _eig2_vector(m, vals[1])
+        return [v1, v2]
+    return [v1, _eig2_vector(m, vals[1])]
 
-    Vectors already found for the same eigenvalue cluster are projected out
-    of every iterate so repeated eigenvalues get independent directions.
+
+def _inverse_iteration(m: np.ndarray, lam: complex, scale: float,
+                       right_cluster: list[np.ndarray],
+                       left_cluster: list[np.ndarray]):
+    """Right and left eigenvectors for lam by inverse iteration with a
+    slightly perturbed shift.
+
+    Each attempt factors M - shift I once.  The right vector iterates with
+    that LU, the left vector with its adjoint solve, which is inverse
+    iteration on M^H at the conjugate shift.  Each side has its own random
+    start and its own list of vectors already found for the same eigenvalue
+    cluster; those are projected out of every iterate so repeated
+    eigenvalues get independent directions.  Raises NoConvergence when no
+    attempt yields a vector.
     """
     n = m.shape[0]
-    rng = np.random.default_rng(0x5EED ^ n)
     eye = np.eye(n, dtype=complex)
-    best = None
-    best_res = np.inf
+    tol = 1e-12 * max(scale, 1.0)
+    # per side: matrix, its eigenvalue, solver, deflation list, random stream
+    sides = [(m, lam, _lu_solve, right_cluster, np.random.default_rng(0x5EED ^ n)),
+             (m.conj().T, lam.conjugate(), _lu_solve_adjoint, left_cluster,
+              np.random.default_rng(0x5EED ^ n))]
+    best = [None, None]
+    best_res = [np.inf, np.inf]
     for attempt in range(4):
         shift = lam + (1e-12 * scale if scale > 0 else 1e-12) * (1 + attempt * 97)
         try:
             lu, piv = _lu_factor(m - shift * eye, singular_tol=1e-18)
         except SingularMatrix:
             continue
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for u in deflate_against:
-            v -= (u.conj() @ v) * u
-        v /= np.sqrt(np.sum(np.abs(v) ** 2))
-        for _ in range(3 + attempt):
-            v = _lu_solve(lu, piv, v)
-            for u in deflate_against:
+        for i, (a, target, lu_solve, deflate, rng) in enumerate(sides):
+            if best_res[i] <= tol:
+                continue
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for u in deflate:
                 v -= (u.conj() @ v) * u
-            nv = np.sqrt(np.sum(np.abs(v) ** 2))
-            if not np.isfinite(nv) or nv <= 1e-300:
-                break
-            v /= nv
-        else:
-            res = np.sqrt(np.sum(np.abs(m @ v - lam * v) ** 2))
-            if res < best_res:
-                best, best_res = v, res
-            if res <= 1e-12 * max(scale, 1.0):
-                break
-    if best is None:
-        # fully degenerate direction; fall back to a basis vector
-        best = eye[:, 0]
-    return best
+            v /= np.sqrt(np.sum(np.abs(v) ** 2))
+            for _ in range(3 + attempt):
+                v = lu_solve(lu, piv, v)
+                for u in deflate:
+                    v -= (u.conj() @ v) * u
+                nv = np.sqrt(np.sum(np.abs(v) ** 2))
+                if not np.isfinite(nv) or nv <= 1e-300:
+                    break
+                v /= nv
+            else:
+                res = np.sqrt(np.sum(np.abs(a @ v - target * v) ** 2))
+                if res < best_res[i]:
+                    best[i], best_res[i] = v, res
+        if max(best_res) <= tol:
+            break
+    if best[0] is None or best[1] is None:
+        raise NoConvergence(
+            f"inverse iteration found no eigenvector for {complex(lam)!r}"
+        )
+    return best[0], best[1]
 
 
-def _right_eigensystem(m: np.ndarray, max_qr_iters: int | None = None):
-    """Eigenvalues (sorted by (Re, Im)) and matching right eigenvectors."""
+def _eigensystem(m: np.ndarray, max_qr_iters: int | None = None):
+    """Eigenvalues sorted by (Re, Im), with right and left eigenvectors in
+    the same order."""
     n = m.shape[0]
     if n == 1:
-        return np.array([m[0, 0]]), [np.array([1.0 + 0j])]
+        return np.array([m[0, 0]]), [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
     if n == 2:
         l1, l2 = _eig2_values(m)
         vals = sorted([l1, l2], key=lambda z: (z.real, z.imag))
-        if abs(l1 - l2) <= CLUSTER_TOL * max(frob(m), 1e-300):
-            v1 = _eig2_vector(m, vals[0])
-            # independent second direction for (near-)degenerate case
-            v2 = np.array([-v1[1].conjugate(), v1[0].conjugate()])
-            r2 = m @ v2 - vals[1] * v2
-            if np.sqrt(np.sum(np.abs(r2) ** 2)) > EIG_TOL * max(frob(m), 1e-300):
-                v2 = _eig2_vector(m, vals[1])
-            return np.array(vals), [v1, v2]
-        return np.array(vals), [_eig2_vector(m, v) for v in vals]
+        return (np.array(vals), _eig2_vectors(m, vals),
+                _eig2_vectors(m.conj().T, [z.conjugate() for z in vals]))
     vals = _qr_eigvalues(m, max_qr_iters)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     scale = frob(m)
-    vecs: list[np.ndarray] = []
-    cluster: list[np.ndarray] = []
+    rights: list[np.ndarray] = []
+    lefts: list[np.ndarray] = []
+    r_cluster: list[np.ndarray] = []
+    l_cluster: list[np.ndarray] = []
     for i, lam in enumerate(vals):
         if i > 0 and abs(lam - vals[i - 1]) > CLUSTER_TOL * max(scale, 1e-300):
-            cluster = []
-        v = _right_vector(m, lam, scale, cluster)
-        cluster.append(v)
-        vecs.append(v)
-    return vals, vecs
+            r_cluster, l_cluster = [], []
+        r, l = _inverse_iteration(m, lam, scale, r_cluster, l_cluster)
+        r_cluster.append(r)
+        l_cluster.append(l)
+        rights.append(r)
+        lefts.append(l)
+    return vals, rights, lefts
 
 
 def eigendecompose(m, *, max_qr_iters: int | None = None,
                    defect_tol: float = DEFECT_TOL,
                    allow_defective: bool = False) -> list[EigenPair]:
-    """Full eigendecomposition with matched left eigenvectors.
+    """Full eigendecomposition with left eigenvectors.
 
-    Left eigenvectors come from an independent decomposition of the adjoint,
-    matched by conjugate eigenvalue.  Eigenvalues are sorted ascending by
-    (Re, Im).  Raises DefectiveMatrix when a left/right pair is numerically
-    orthogonal, unless allow_defective is set (phase classification needs the
-    raw overlap).
+    One Hessenberg + shifted QR run on M gives the eigenvalues (closed form
+    for 2x2).  For each eigenvalue, inverse iteration factors M - shift I
+    once and takes the right vector from that LU and the left vector from
+    its adjoint solve (the LAPACK xHSEIN approach), so pair k holds the
+    right and left vectors of eigenvalue k.  Eigenvalues are sorted
+    ascending by (Re, Im).  Raises NoConvergence when QR or inverse
+    iteration fails, and DefectiveMatrix when a left/right pair is
+    numerically orthogonal, unless allow_defective is set (phase
+    classification needs the raw overlap).
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -365,27 +405,9 @@ def eigendecompose(m, *, max_qr_iters: int | None = None,
     if fa < 1e-100 or fa > 1e100:
         factor = fa
         a = a / fa
-    scale = max(frob(a), 1e-300)
-    rvals, rvecs = _right_eigensystem(a, max_qr_iters)
-    lvals, lvecs = _right_eigensystem(a.conj().T, max_qr_iters)
-    used = [False] * n
-    pairs = []
-    for lam, rv in zip(rvals, rvecs):
-        target = lam.conjugate()
-        best_j, best_d = -1, np.inf
-        for j in range(n):
-            if used[j]:
-                continue
-            d = abs(lvals[j] - target)
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_d > max(MATCH_TOL * scale, 1e-10 * scale):
-            raise NoConvergence(
-                f"could not match a left eigenvalue to {lam!r} (gap {best_d:.3e})"
-            )
-        used[best_j] = True
-        pairs.append(EigenPair(value=complex(lam) * factor, right=rv,
-                               left=lvecs[best_j]))
+    vals, rights, lefts = _eigensystem(a, max_qr_iters)
+    pairs = [EigenPair(value=complex(lam) * factor, right=r, left=l)
+             for lam, r, l in zip(vals, rights, lefts)]
     if not allow_defective:
         for p in pairs:
             if abs(p.left.conj() @ p.right) < defect_tol:
@@ -412,7 +434,13 @@ def defect_indicator(pairs: list[EigenPair]) -> float:
 # ---------------------------------------------------------------------------
 
 def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
-    """Real eigenvalues (ascending) of a Hermitian matrix, by cyclic Jacobi."""
+    """Real eigenvalues (ascending) of a Hermitian matrix, by cyclic Jacobi.
+
+    Sweeps stop once the off-diagonal Frobenius norm, taken directly from
+    the off-diagonal entries, is at most 1e-14 ||M|| (60 sweeps at most).
+    Deriving it as ||A||^2 - sum |a_ii|^2 would cancel below about
+    sqrt(eps) ||M|| and never resolve that threshold.
+    """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("hermitian_spectrum needs a square matrix")
@@ -426,7 +454,7 @@ def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
     if n == 1:
         return np.array([a[0, 0].real])
     for _ in range(60):
-        off = math.sqrt(max(frob(a) ** 2 - float(np.sum(np.abs(np.diag(a)) ** 2)), 0.0))
+        off = frob(a - np.diag(np.diag(a)))
         if off <= 1e-14 * scale:
             break
         for p in range(n - 1):

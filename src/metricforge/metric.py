@@ -174,14 +174,17 @@ def spectral_metric(sys: BiorthSystem, *, h_scale: float | None = None,
 
 
 def das_metric(construction: DasConstruction, *,
-               herm_tol: float = linalg.HERM_TOL) -> MetricOperator:
+               herm_tol: float = linalg.HERM_TOL,
+               biorth_tol: float = BIORTH_TOL) -> MetricOperator:
     """Assemble q = sum_E (sigma_E^dagger)^-1 q0 sigma_E^-1 P_E.
 
-    The raw assembly carries O(ulp) anti-Hermitian noise from the projector
+    The construction is checked first (idempotent projectors resolving the
+    identity to biorth_tol, unit phases; ValueError otherwise).  The raw
+    assembly carries O(ulp) anti-Hermitian noise from the projector
     products; it is symmetrized when that part is below herm_tol, otherwise
     the construction data is inconsistent and NotHermitian is raised.
     """
-    construction.check()
+    construction.check(biorth_tol)
     q0 = as_matrix(construction.reference_metric_q0)
     n = q0.shape[0]
     q = np.zeros((n, n), dtype=complex)

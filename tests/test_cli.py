@@ -123,6 +123,43 @@ def test_explicit_das_block(capsys, tmp_path):
     assert np.allclose(m, np.eye(2))
 
 
+def _das_doc(d):
+    """Explicit das block whose projectors are idempotent to about d."""
+    return {"matrix": {
+        "h": [[1, 0], [0, 2]],
+        "das": {
+            "q0": [[1, 0], [0, 1]],
+            "generators": [
+                {"energy": 1, "sigma": [[1, 0], [0, 1]]},
+                {"energy": 2, "sigma": [[0, 1], [1, 0]]},
+            ],
+            "projectors": [[[1 + d, 0], [0, 0]], [[-d, 0], [0, 1]]],
+        },
+    }}
+
+
+def test_inconsistent_das_block_exit_4(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_das_doc(1.0)))
+    code, out, err = run(capsys, ["metric", "--in", str(path), "--method", "das"])
+    assert code == 4 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    assert "not idempotent" in body["message"]
+
+
+def test_biorth_tol_governs_das_check(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_das_doc(1e-8)))
+    argv = ["metric", "--in", str(path), "--method", "das"]
+    code, _, err = run(capsys, argv)
+    assert code == 4 and json.loads(err)["error"] == "InvalidParams"
+    out = run_json(capsys, argv + ["--tol", "biorth_tol=1e-6"])
+    assert out["tolerances"]["biorth_tol"] == 1e-6
+    m = as_matrix(out["results"]["metrics"]["das"]["matrix"])
+    assert np.allclose(m, np.eye(2), atol=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error bodies
 # ---------------------------------------------------------------------------
@@ -149,6 +186,7 @@ def test_parse_errors_exit_4(capsys):
                  ["metric", *JC_ARGS, "--method", "bogus"],
                  ["metric"],
                  ["metric", *JC_ARGS, "--tol", "nope=1"],
+                 ["metric", *JC_ARGS, "--tol", "eig_tol=1"],
                  ["metric", "--model", "jc_doublet", "--params", "rho"]):
         code, _, err = run(capsys, argv)
         assert code == 4, argv

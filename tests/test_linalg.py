@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from metricforge import linalg
-from metricforge.errors import DefectiveMatrix, NotHermitian, SingularMatrix
+from metricforge import linalg, metric
+from metricforge.errors import (DefectiveMatrix, NoConvergence, NotHermitian,
+                                 SingularMatrix)
 
 RNG = np.random.default_rng(20240811)
 
@@ -50,6 +51,24 @@ def test_solve_matches_numpy(n):
 def test_inverse_property(n):
     a = well_conditioned(n)
     assert linalg.frob(a @ linalg.inverse(a) - np.eye(n)) < 1e-10
+
+
+def test_adjoint_solve_matches_numpy():
+    for n in range(1, 65):
+        a = random_complex(n)
+        lu, piv = linalg._lu_factor(a)
+        for b in (RNG.standard_normal(n) + 1j * RNG.standard_normal(n),
+                  random_complex(n)[:, :3]):
+            ref = npl.solve(a.conj().T, b)
+            x = linalg._lu_solve_adjoint(lu, piv, b)
+            assert npl.norm(x - ref) <= 1e-13 * npl.cond(a) * npl.norm(ref), n
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_inverse_matches_numpy_large(n):
+    a = random_complex(n)
+    ref = npl.inv(a)
+    assert npl.norm(linalg.inverse(a) - ref) <= 1e-13 * npl.cond(a) * npl.norm(ref)
 
 
 def test_singular_matrix_raises():
@@ -99,6 +118,47 @@ def test_2x2_eigenvalues_property(m):
         ref.pop(j)
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_left_vectors_match_numpy_inverse(n):
+    a = random_complex(n)
+    scale = linalg.frob(a)
+    pairs = linalg.eigendecompose(a)
+    for p in pairs:
+        assert npl.norm(a.conj().T @ p.left - np.conj(p.value) * p.left) < 1e-10 * scale
+    sysb = metric.biorthonormalize(pairs)
+    r, left = sysb.right_matrix(), sysb.left_matrix()
+    assert linalg.frob(left.conj().T @ r - np.eye(n)) < 1e-10 * n
+    ref = npl.inv(r)  # its rows are the biorthonormal left vectors
+    assert npl.norm(left.conj().T - ref) <= 1e-12 * npl.cond(r) * npl.norm(ref)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_one_qr_run_per_eigendecompose(monkeypatch, n):
+    original = linalg._qr_eigvalues
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_qr_eigvalues", counted)
+    linalg.eigendecompose(random_complex(n))
+    assert calls == [(n, n)]
+
+
+def test_inverse_iteration_failure_raises(monkeypatch):
+    a = random_complex(4)
+
+    def always_singular(*args, **kwargs):
+        raise SingularMatrix("forced")
+
+    monkeypatch.setattr(linalg, "_lu_factor", always_singular)
+    with pytest.raises(NoConvergence):
+        linalg.eigendecompose(a)
+    # exp_propagator takes the Taylor path instead of a wrong eigenbasis
+    assert np.allclose(linalg.mat_exp(a), scipy.linalg.expm(a), atol=1e-10)
+
+
 def test_degenerate_spectrum():
     a = np.diag([1.0, 1.0, 2.0]).astype(complex)
     pairs = linalg.eigendecompose(a)
@@ -123,6 +183,37 @@ def test_hermitian_spectrum_matches_numpy(n):
     a = random_complex(n)
     h = (a + a.conj().T) / 2.0
     assert np.allclose(linalg.hermitian_spectrum(h), npl.eigvalsh(h), atol=1e-10)
+
+
+def test_hermitian_spectrum_matches_numpy_n64():
+    a = random_complex(64)
+    h = (a + a.conj().T) / 2.0
+    assert np.allclose(linalg.hermitian_spectrum(h), npl.eigvalsh(h),
+                       atol=1e-12 * linalg.frob(h))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_jacobi_stops_within_12_sweeps(monkeypatch, n):
+    # frob runs twice before the sweeps (scale, Hermiticity) and once per
+    # convergence test, so the convergence tests are the calls beyond two
+    original = linalg.frob
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    monkeypatch.setattr(linalg, "frob", counted)
+    rng = np.random.default_rng(4000 + n)
+    sweeps = []
+    for _ in range(40):
+        a = random_complex(n, rng)
+        h = (a + a.conj().T) / 2.0
+        calls[0] = 0
+        eigs = linalg.hermitian_spectrum(h)
+        sweeps.append(calls[0] - 2)
+        assert np.allclose(eigs, npl.eigvalsh(h), atol=1e-12 * original(h))
+    assert max(sweeps) <= 12, sweeps
 
 
 def test_hermitian_spectrum_rejects_non_hermitian():
