@@ -26,13 +26,13 @@ from . import __version__, dynamics, linalg, metric, models, phase
 from .errors import BrokenPhase, InvalidParams, MetricForgeError
 
 DEFAULT_TOLS = {
-    "herm_tol": 1e-10,
-    "defect_tol": 1e-8,
-    "biorth_tol": 1e-10,
-    "real_tol": 1e-9,
-    "pos_tol": 1e-12,
-    "cmp_tol": 1e-9,
-    "ep_tol": 1e-10,
+    "herm_tol": linalg.HERM_TOL,
+    "defect_tol": linalg.DEFECT_TOL,
+    "biorth_tol": metric.BIORTH_TOL,
+    "real_tol": metric.REAL_TOL,
+    "pos_tol": metric.POS_TOL,
+    "cmp_tol": metric.CMP_TOL,
+    "ep_tol": phase.EP_TOL,
 }
 
 
@@ -168,9 +168,7 @@ class ResolvedInput:
         self.instance = None
         self.das = None
         if "model" in doc:
-            spec = doc["model"]
-            if not isinstance(spec, dict) or "family" not in spec:
-                raise InvalidParams("'model' needs a 'family' and 'params'")
+            spec = _model_spec(doc)
             self.instance = models.build(spec["family"],
                                          spec.get("params", {}) or {})
             self.h = self.instance.hamiltonian
@@ -193,6 +191,13 @@ class ResolvedInput:
     def digest(self) -> str:
         return hashlib.sha256(
             dumps_canonical(self.doc).encode("utf-8")).hexdigest()
+
+
+def _model_spec(doc: dict) -> dict:
+    spec = doc["model"]
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise InvalidParams("'model' needs a 'family' and 'params'")
+    return spec
 
 
 def _das_from_json(spec) -> metric.DasConstruction:
@@ -255,7 +260,7 @@ def _spectral_from_input(res: ResolvedInput, tols: dict) -> metric.MetricOperato
         return metric.spectral_metric(
             sysb, h_scale=max(linalg.frob(res.h), 1e-300),
             real_tol=tols["real_tol"], unit_lefts=False)
-    if res.instance is not None and res.instance.phase == phase.BROKEN:
+    if res.instance is not None and res.instance.phase == models.PHASE_BROKEN:
         raise BrokenPhase(
             f"model is in the broken phase (discriminant "
             f"{res.instance.discriminant:.6g} < 0); no positive metric exists")
@@ -297,19 +302,15 @@ def _metric_entry(res: ResolvedInput, m: metric.MetricOperator,
 
 
 def _build_metrics(res: ResolvedInput, method: str, tols: dict) -> dict:
-    out = {"metrics": {}}
+    built = {}
     if method in ("spectral", "both"):
-        out["metrics"]["spectral"] = _metric_entry(
-            res, _spectral_from_input(res, tols), tols)
+        built["spectral"] = _spectral_from_input(res, tols)
     if method in ("das", "both"):
-        out["metrics"]["das"] = _metric_entry(
-            res, _das_from_input(res, tols), tols)
+        built["das"] = _das_from_input(res, tols)
+    out = {"metrics": {k: _metric_entry(res, m, tols) for k, m in built.items()}}
     if method == "both":
-        a = _mat_from_json(out["metrics"]["das"]["matrix"], "das")
-        b = _mat_from_json(out["metrics"]["spectral"]["matrix"], "spectral")
-        cmp_ = metric.compare_metrics(
-            metric.MetricOperator(a, "das"), metric.MetricOperator(b, "spectral"),
-            cmp_tol=tols["cmp_tol"])
+        cmp_ = metric.compare_metrics(built["das"], built["spectral"],
+                                      cmp_tol=tols["cmp_tol"])
         out["comparison"] = {"verdict": cmp_.verdict, "factor": cmp_.factor}
     return out
 
@@ -342,14 +343,9 @@ def _parse_psi0(text: str, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_metric(args, tols):
+    """metric and validate: the two differ only in the --method default."""
     res = ResolvedInput(_load_input(args))
     return _build_metrics(res, args.method, tols), {}, res
-
-
-def cmd_validate(args, tols):
-    res = ResolvedInput(_load_input(args))
-    built = _build_metrics(res, args.method, tols)
-    return built, {}, res
 
 
 def cmd_compare(args, tols):
@@ -362,13 +358,14 @@ def cmd_sweep(args, tols):
     doc = _load_input(args)
     if "model" not in doc:
         raise InvalidParams("sweep needs a model input")
-    res = ResolvedInput({"model": {"family": doc["model"]["family"],
-                                   "params": doc["model"].get("params", {})}})
+    spec = _model_spec(doc)
+    params = spec.get("params", {})
+    # the digest covers the model's family and params only
+    res = ResolvedInput({"model": {"family": spec["family"], "params": params}})
     axes = [_parse_axis(a) for a in (args.axis or [])]
     if not axes:
         raise AxisError("sweep needs at least one --axis name=start:stop:count")
-    diagram = phase.sweep(doc["model"]["family"],
-                          doc["model"].get("params", {}) or {}, axes,
+    diagram = phase.sweep(spec["family"], params or {}, axes,
                           real_tol=tols["real_tol"],
                           defect_tol=tols["defect_tol"])
     brackets = phase.ep_brackets(diagram)
@@ -383,8 +380,7 @@ def cmd_ep(args, tols):
     res = ResolvedInput(doc)
     value = phase.find_exceptional(
         doc["model"]["family"], doc["model"].get("params", {}) or {},
-        args.param, args.lo, args.hi,
-        ep_tol=tols["ep_tol"], real_tol=tols["real_tol"])
+        args.param, args.lo, args.hi, ep_tol=tols["ep_tol"])
     return {"param": args.param, "value": value}, {}, res
 
 
@@ -394,7 +390,7 @@ def cmd_evolve(args, tols):
         raise InvalidParams("--steps must be >= 2")
     point = phase.classify(res.h, real_tol=tols["real_tol"],
                            defect_tol=tols["defect_tol"])
-    broken = point.classification != phase.UNBROKEN
+    broken = point.classification != models.PHASE_UNBROKEN
     if broken and not args.allow_broken:
         raise BrokenPhase(
             f"spectrum is {point.classification}; metric-norm evolution "
@@ -514,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--method", choices=("spectral", "das", "both"),
                    default="spectral")
-    p.set_defaults(handler=cmd_validate)
+    p.set_defaults(handler=cmd_metric)
 
     p = sub.add_parser("compare", help="compare the two construction routes")
     _add_input_flags(p)

@@ -194,8 +194,8 @@ def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport
     if mat.shape[0] != pair.psi1.size:
         raise ValueError("metric dimension does not match the pair's basis")
     eigs = linalg.hermitian_spectrum((mat + mat.conj().T) / 2.0, herm_tol=1.0)
-    if linalg.frob(mat - mat.conj().T) > 1e-10 * max(linalg.frob(mat), 1e-300) \
-            or eigs[0] <= 0.0:
+    if (linalg.frob(mat - mat.conj().T)
+            > linalg.HERM_TOL * max(linalg.frob(mat), 1e-300) or eigs[0] <= 0.0):
         raise NotPositive("candidate metric is not Hermitian positive-definite")
     identity = MetricOperator(np.eye(pair.psi1.size, dtype=complex), "analytic")
     std = _normalized_overlap(pair.psi1, pair.psi2, identity)

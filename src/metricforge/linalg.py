@@ -23,7 +23,6 @@ from .errors import DefectiveMatrix, NoConvergence, NotHermitian, SingularMatrix
 # Default tolerances, an order below expected double-precision QR accuracy
 # at n <= 64.
 EIG_TOL = 1e-8
-INV_TOL = 1e-10
 HERM_TOL = 1e-10
 DEFECT_TOL = 1e-8
 EXP_TOL = 1e-12
@@ -133,12 +132,12 @@ def solve(m, b) -> np.ndarray:
     return _lu_solve(lu, piv, as_vector(b))
 
 
-def inverse(m, singular_tol: float = SINGULAR_TOL) -> np.ndarray:
+def inverse(m) -> np.ndarray:
     """Matrix inverse via partial-pivot LU, all columns in one blocked solve."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("inverse needs a square matrix")
-    lu, piv = _lu_factor(a, singular_tol)
+    lu, piv = _lu_factor(a)
     return _lu_solve(lu, piv, np.eye(a.shape[0], dtype=complex))
 
 
@@ -206,11 +205,10 @@ def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
     return l1 if abs(l1 - d) <= abs(l2 - d) else l2
 
 
-def _qr_eigvalues(m: np.ndarray, max_qr_iters: int | None = None) -> np.ndarray:
-    """Eigenvalues by Wilkinson-shift QR on the Hessenberg form."""
+def _qr_eigvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues by Wilkinson-shift QR on the Hessenberg form, within a
+    budget of 100 n shifted sweeps."""
     n = m.shape[0]
-    if max_qr_iters is None:
-        max_qr_iters = 100 * n
     h = _hessenberg(m)
     scale = max(frob(m), 1e-300)
     eps = 1e-15
@@ -236,9 +234,9 @@ def _qr_eigvalues(m: np.ndarray, max_qr_iters: int | None = None) -> np.ndarray:
         lo = hi
         while lo > 0 and h[lo, lo - 1] != 0.0:
             lo -= 1
-        if iters >= max_qr_iters:
+        if iters >= 100 * n:
             raise NoConvergence(
-                f"QR iteration did not converge in {max_qr_iters} sweeps"
+                f"QR iteration did not converge in {100 * n} sweeps"
             )
         iters += 1
         stuck += 1
@@ -345,7 +343,7 @@ def _inverse_iteration(m: np.ndarray, lam: complex, scale: float,
     return best[0], best[1]
 
 
-def _eigensystem(m: np.ndarray, max_qr_iters: int | None = None):
+def _eigensystem(m: np.ndarray):
     """Eigenvalues sorted by (Re, Im), with right and left eigenvectors in
     the same order."""
     n = m.shape[0]
@@ -356,7 +354,7 @@ def _eigensystem(m: np.ndarray, max_qr_iters: int | None = None):
         vals = sorted([l1, l2], key=lambda z: (z.real, z.imag))
         return (np.array(vals), _eig2_vectors(m, vals),
                 _eig2_vectors(m.conj().T, [z.conjugate() for z in vals]))
-    vals = _qr_eigvalues(m, max_qr_iters)
+    vals = _qr_eigvalues(m)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     scale = frob(m)
@@ -375,8 +373,7 @@ def _eigensystem(m: np.ndarray, max_qr_iters: int | None = None):
     return vals, rights, lefts
 
 
-def eigendecompose(m, *, max_qr_iters: int | None = None,
-                   defect_tol: float = DEFECT_TOL,
+def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
                    allow_defective: bool = False) -> list[EigenPair]:
     """Full eigendecomposition with left eigenvectors.
 
@@ -405,7 +402,7 @@ def eigendecompose(m, *, max_qr_iters: int | None = None,
     if fa < 1e-100 or fa > 1e100:
         factor = fa
         a = a / fa
-    vals, rights, lefts = _eigensystem(a, max_qr_iters)
+    vals, rights, lefts = _eigensystem(a)
     pairs = [EigenPair(value=complex(lam) * factor, right=r, left=l)
              for lam, r, l in zip(vals, rights, lefts)]
     if not allow_defective:
@@ -483,14 +480,15 @@ def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
 # Matrix exponential
 # ---------------------------------------------------------------------------
 
-def exp_propagator(m, *, exp_tol: float = EXP_TOL, cond_max: float = COND_MAX):
+def exp_propagator(m):
     """Factor M once and return ``scale -> exp(scale * M)``.
 
     The factor step decides the path: diagonalization M = V diag(lam) V^-1
-    when the eigenvector matrix is well conditioned (cond_max) and
-    reconstructs M, otherwise scaling-and-squaring with a truncated Taylor
-    series.  The decision does not depend on the scale, so a propagator
-    built once serves every time point of a trajectory.
+    when the eigenvector matrix is well conditioned (Frobenius condition
+    number below COND_MAX) and reconstructs M, otherwise scaling-and-squaring
+    with a Taylor series truncated once a term falls below EXP_TOL.  The
+    decision does not depend on the scale, so a propagator built once
+    serves every time point of a trajectory.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -500,7 +498,7 @@ def exp_propagator(m, *, exp_tol: float = EXP_TOL, cond_max: float = COND_MAX):
         pairs = eigendecompose(a)
         v = np.column_stack([p.right for p in pairs])
         vinv = inverse(v)
-        if frob(v) * frob(vinv) < cond_max:
+        if frob(v) * frob(vinv) < COND_MAX:
             values = [p.value for p in pairs]
             recon = v @ np.diag(values) @ vinv
             if frob(recon - a) <= 1e-8 * max(frob(a), 1e-300):
@@ -522,7 +520,7 @@ def exp_propagator(m, *, exp_tol: float = EXP_TOL, cond_max: float = COND_MAX):
         for k in range(1, 80):
             term = term @ b / k
             result = result + term
-            if frob(term) <= exp_tol * max(frob(result), 1.0):
+            if frob(term) <= EXP_TOL * max(frob(result), 1.0):
                 break
         for _ in range(s):
             result = result @ result
@@ -530,12 +528,11 @@ def exp_propagator(m, *, exp_tol: float = EXP_TOL, cond_max: float = COND_MAX):
     return taylor
 
 
-def mat_exp(m, scale: complex = 1.0, *, exp_tol: float = EXP_TOL,
-            cond_max: float = COND_MAX) -> np.ndarray:
+def mat_exp(m, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * M), by a one-off ``exp_propagator(M)``.
 
     Diagonalization path when the eigenvector matrix is well conditioned;
     otherwise scaling-and-squaring with a truncated Taylor series.  To
     evaluate many scales of one M, build the propagator once instead.
     """
-    return exp_propagator(m, exp_tol=exp_tol, cond_max=cond_max)(scale)
+    return exp_propagator(m)(scale)

@@ -61,10 +61,6 @@ class ValidityReport:
 class MetricOperator:
     matrix: np.ndarray
     method: str  # spectral | das | analytic
-    report: ValidityReport | None = None
-
-    def with_report(self, report: ValidityReport) -> "MetricOperator":
-        return MetricOperator(self.matrix, self.method, report)
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,14 @@ def check_pseudo_hermitian(h, s) -> float:
 
 
 def biorthonormalize(raw: list[EigenPair], *,
-                     defect_tol: float = linalg.DEFECT_TOL,
-                     cluster_tol: float = linalg.CLUSTER_TOL) -> BiorthSystem:
+                     defect_tol: float = linalg.DEFECT_TOL) -> BiorthSystem:
     """Rescale an eigensystem to <left_m|right_n> = delta_mn.
 
     Right vectors are normalized to unit standard norm first; left vectors
-    absorb the biorthonormality factor.  Eigenvalues within cluster_tol of
-    each other are treated as one cluster and rescaled jointly through the
-    cluster Gram matrix.
+    absorb the biorthonormality factor.  Eigenvalues within
+    linalg.CLUSTER_TOL (relative to the largest |eigenvalue|) of each other
+    are treated as one cluster and rescaled jointly through the cluster
+    Gram matrix.
     """
     if not raw:
         raise ValueError("empty eigensystem")
@@ -122,7 +118,8 @@ def biorthonormalize(raw: list[EigenPair], *,
     i = 0
     while i < len(pairs):
         j = i + 1
-        while j < len(pairs) and abs(pairs[j].value - pairs[j - 1].value) <= cluster_tol * scale:
+        while (j < len(pairs) and abs(pairs[j].value - pairs[j - 1].value)
+               <= linalg.CLUSTER_TOL * scale):
             j += 1
         r_blk = np.column_stack(rights[i:j])
         l_blk = np.column_stack(lefts[i:j])

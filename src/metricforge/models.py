@@ -23,7 +23,7 @@ Normalization conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -436,44 +436,61 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
 # Family registry
 # ---------------------------------------------------------------------------
 
+_PARAM_TYPES = {"jc_doublet": JCParams, "jc_full": JCParams,
+                "pt_matrix": PTParams, "dirac_scalar": DiracParams}
+FAMILIES = tuple(_PARAM_TYPES)
+# accepted names: the fields of the family's record, plus the jc_full level count
+_PARAM_NAMES = {family: {f.name for f in fields(cls)}
+                for family, cls in _PARAM_TYPES.items()}
+_PARAM_NAMES["jc_full"].add("levels")
 _INT_KEYS = {"n", "levels"}
 _ALIASES = {"eps": "epsilon"}
 
 
-def _normalize_params(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        k = _ALIASES.get(k, k)
-        out[k] = int(v) if k in _INT_KEYS else float(v)
-    return out
+def _parse_params(family: str, params: dict):
+    """The family's parameter record and the jc_full level count (default 1)
+    from a flat mapping.  Raises InvalidParams for an unknown family, an
+    unknown name, a value that is not a finite number, or a non-integer n
+    or levels."""
+    cls = _PARAM_TYPES.get(family)
+    if cls is None:
+        raise InvalidParams(f"unknown model family {family!r}")
+    known = _PARAM_NAMES[family]
+    kw = {}
+    for key, value in params.items():
+        k = _ALIASES.get(key, key)
+        if k not in known:
+            raise InvalidParams(f"unknown parameter {key!r} for {family}; "
+                                f"known: {', '.join(sorted(known))}")
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not math.isfinite(x):
+            raise InvalidParams(
+                f"parameter {key!r} value {value!r} is not a finite number")
+        if k in _INT_KEYS:
+            if not x.is_integer():
+                raise InvalidParams(
+                    f"parameter {key!r} value {value!r} is not an integer")
+            x = int(x)
+        kw[k] = x
+    levels = kw.pop("levels", 1)
+    return cls(**kw), levels
 
 
 def build(family: str, params: dict) -> ModelInstance:
     """Instantiate a model family from a flat parameter mapping."""
-    kw = _normalize_params(params)
+    p, levels = _parse_params(family, params)
     if family == "jc_doublet":
-        return jc_doublet(JCParams(**kw))
+        return jc_doublet(p)
     if family == "jc_full":
-        levels = kw.pop("levels", 1)
-        return jc_full(JCParams(**kw), levels=levels)
+        return jc_full(p, levels=levels)
     if family == "pt_matrix":
-        return pt_matrix(PTParams(**kw))
-    if family == "dirac_scalar":
-        return dirac_scalar(DiracParams(**kw))
-    raise InvalidParams(f"unknown model family {family!r}")
-
-
-FAMILIES = ("jc_doublet", "jc_full", "pt_matrix", "dirac_scalar")
+        return pt_matrix(p)
+    return dirac_scalar(p)
 
 
 def discriminant(family: str, params: dict) -> float:
     """Analytic phase discriminant (positive in the unbroken phase)."""
-    kw = _normalize_params(params)
-    if family in ("jc_doublet", "jc_full"):
-        kw.pop("levels", None)
-        return JCParams(**kw).discriminant()
-    if family == "pt_matrix":
-        return PTParams(**kw).discriminant()
-    if family == "dirac_scalar":
-        return DiracParams(**kw).discriminant()
-    raise InvalidParams(f"unknown model family {family!r}")
+    return _parse_params(family, params)[0].discriminant()

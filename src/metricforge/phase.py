@@ -10,14 +10,11 @@ import numpy as np
 
 from . import linalg, metric, models
 from .errors import DefectiveSystem, NoBracket
+from .linalg import DEFECT_TOL
+from .metric import REAL_TOL
+from .models import PHASE_BROKEN, PHASE_EXCEPTIONAL, PHASE_UNBROKEN
 
-REAL_TOL = 1e-9
-DEFECT_TOL = 1e-8
 EP_TOL = 1e-10
-
-UNBROKEN = "unbroken"
-BROKEN = "broken"
-EXCEPTIONAL = "exceptional"
 
 
 @dataclass(frozen=True)
@@ -82,19 +79,19 @@ def classify(h, *, real_tol: float = REAL_TOL,
     max_imag = max(abs(p.value.imag) for p in pairs)
     defect = linalg.defect_indicator(pairs)
     if defect < defect_tol:
-        label = EXCEPTIONAL
+        label = PHASE_EXCEPTIONAL
     elif max_imag > real_tol * scale:
-        label = BROKEN
+        label = PHASE_BROKEN
     else:
-        label = UNBROKEN
+        label = PHASE_UNBROKEN
     metric_min = None
-    if label == UNBROKEN:
+    if label == PHASE_UNBROKEN:
         try:
             sysb = metric.biorthonormalize(pairs, defect_tol=defect_tol)
             m = metric.spectral_metric(sysb, h_scale=scale, real_tol=real_tol)
             metric_min = float(linalg.hermitian_spectrum(m.matrix)[0])
         except DefectiveSystem:
-            label = EXCEPTIONAL
+            label = PHASE_EXCEPTIONAL
     return PhasePoint(
         params=dict(params or {}),
         classification=label,
@@ -105,23 +102,17 @@ def classify(h, *, real_tol: float = REAL_TOL,
 
 
 def find_exceptional(family: str, base_params: dict, param: str,
-                     lo: float, hi: float, *, ep_tol: float = EP_TOL,
-                     real_tol: float = REAL_TOL) -> float:
+                     lo: float, hi: float, *, ep_tol: float = EP_TOL) -> float:
     """Locate the unbroken/broken transition along one parameter by bisection.
 
-    Bisects on the model's analytic discriminant when the family provides
-    one, otherwise on the largest imaginary part of the numerically computed
-    spectrum.  Endpoints must straddle the transition.
+    Bisects on the family's analytic discriminant (models.discriminant)
+    until the bracket is narrower than ep_tol * (hi - lo).  Endpoints must
+    straddle the transition; an unknown family raises InvalidParams.
     """
     def disc(value: float) -> float:
         p = dict(base_params)
         p[param] = value
-        if family in models.FAMILIES:
-            return models.discriminant(family, p)
-        inst = models.build(family, p)
-        pairs = linalg.eigendecompose(inst.hamiltonian, allow_defective=True)
-        scale = max(linalg.frob(inst.hamiltonian), 1e-300)
-        return real_tol * scale - max(abs(q.value.imag) for q in pairs)
+        return models.discriminant(family, p)
 
     f_lo, f_hi = disc(lo), disc(hi)
     if f_lo == 0.0:
@@ -185,7 +176,7 @@ def ep_brackets(diagram: PhaseDiagram) -> list:
     shape = [len(v) for _, v in diagram.axes]
     grid = np.array([p.classification for p in diagram.points]).reshape(shape)
     coords = [v for _, v in diagram.axes]
-    labels = {UNBROKEN, BROKEN, EXCEPTIONAL}
+    labels = {PHASE_UNBROKEN, PHASE_BROKEN, PHASE_EXCEPTIONAL}
     out = []
     for ax in range(len(shape)):
         sl = np.moveaxis(grid, ax, -1)

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -95,6 +96,16 @@ def test_validate_subcommand(capsys):
     assert rep["positive"] and rep["intertwining_residual"] < 1e-10
 
 
+def test_validate_is_metric_with_spectral_default(capsys):
+    validated = run_json(capsys, ["validate", *JC_ARGS])
+    built = run_json(capsys, ["metric", *JC_ARGS, "--method", "spectral"])
+    assert validated.pop("command") != built.pop("command")
+    assert validated == built
+    assert validated["tolerances"] == {
+        "herm_tol": 1e-10, "defect_tol": 1e-8, "biorth_tol": 1e-10,
+        "real_tol": 1e-9, "pos_tol": 1e-12, "cmp_tol": 1e-9, "ep_tol": 1e-10}
+
+
 def test_das_requires_model_or_block(capsys, tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"matrix": {"h": [[1, 0], [0, 2]]}}))
@@ -187,7 +198,9 @@ def test_parse_errors_exit_4(capsys):
                  ["metric"],
                  ["metric", *JC_ARGS, "--tol", "nope=1"],
                  ["metric", *JC_ARGS, "--tol", "eig_tol=1"],
-                 ["metric", "--model", "jc_doublet", "--params", "rho"]):
+                 ["metric", "--model", "jc_doublet", "--params", "rho"],
+                 ["metric", "--model", "jc_doublet", "--params", "foo=1"],
+                 ["metric", "--model", "jc_doublet", "--params", "n=1.7"]):
         code, _, err = run(capsys, argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "InvalidParams"
@@ -214,6 +227,22 @@ def test_sweep_jc(capsys, tmp_path):
     csv_lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert len(csv_lines) == 52
     assert json.loads((out_dir / "result.json").read_text()) == doc
+
+
+def test_sweep_model_without_family_exit_4(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    for model in ({"params": {"rho": 0.1}}, 3):
+        path.write_text(json.dumps({"model": model}))
+        code, out, err = run(capsys, ["sweep", "--in", str(path),
+                                      "--axis", "rho=0:0.5:3"])
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "InvalidParams"
+    # the digest of a valid document covers only the model's family and params
+    model = {"family": "jc_doublet", "params": {"rho": 0.1}}
+    path.write_text(json.dumps({"model": {**model, "note": 1}, "comment": 2}))
+    doc = run_json(capsys, ["sweep", "--in", str(path), "--axis", "rho=0:0.5:3"])
+    want = hashlib.sha256(cli.dumps_canonical({"model": model}).encode("utf-8"))
+    assert doc["input_digest"] == want.hexdigest()
 
 
 def test_sweep_dirac_ep_location(capsys, tmp_path):

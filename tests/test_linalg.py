@@ -174,6 +174,29 @@ def test_defective_matrix_raises():
     assert linalg.defect_indicator(pairs) < 1e-6
 
 
+def test_accuracy_near_exceptional_point():
+    # The pair of [[1, 1], [d, 1]] is 1 +- sqrt(d): it splits like sqrt(d),
+    # so a backward-stable eigensolver resolves the split only to about
+    # sqrt(eps) ||H||, here stated as the bound for a 6x6 H = Q B Q^H.
+    bound_factor = np.sqrt(np.finfo(float).eps)
+    rng = np.random.default_rng(20241018)
+    q, r = npl.qr(random_complex(6, rng))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    defects = []
+    for d in (1e-4, 1e-8, 1e-12):
+        block = np.array([[1.0, 1.0], [d, 1.0]], dtype=complex)
+        b = np.diag([-2.0, -1.0, 0.0, 0.0, 3.0, 4.0]).astype(complex)
+        b[2:4, 2:4] = block
+        h = q @ b @ q.conj().T
+        for m in (block, h):
+            pairs = linalg.eigendecompose(m, allow_defective=True)
+            near = sorted(pairs, key=lambda p: abs(p.value - 1.0))[:2]
+            split = abs(near[0].value - near[1].value)
+            assert abs(split - 2.0 * np.sqrt(d)) <= bound_factor * linalg.frob(m)
+        defects.append(linalg.defect_indicator(pairs))  # those of the 6x6 H
+    assert defects[0] > defects[1] > defects[2]
+
+
 # ---------------------------------------------------------------------------
 # Hermitian spectra
 # ---------------------------------------------------------------------------

@@ -257,5 +257,23 @@ def test_build_and_discriminant_agree():
 def test_build_alias_and_unknown():
     inst = models.build("jc_doublet", {"eps": 0.6, "rho": 0.1})
     assert inst.params["epsilon"] == pytest.approx(0.6)
+    # counts arrive from the CLI as floats; integral ones are accepted
+    assert models.build("jc_full", {"levels": 2.0}).hamiltonian.shape == (5, 5)
     with pytest.raises(InvalidParams):
         models.build("nope", {})
+
+
+@pytest.mark.parametrize("family, params", [
+    ("jc_doublet", {"foo": 1.0}),
+    ("jc_doublet", {"levels": 2}),
+    ("pt_matrix", {"n": 0}),
+    ("jc_doublet", {"n": 1.7}),
+    ("jc_full", {"levels": 2.5}),
+    ("dirac_scalar", {"v0": "x"}),
+    ("pt_matrix", {"theta": float("inf")}),
+    ("jc_doublet", {"rho": float("nan")}),
+])
+def test_bad_params_rejected(family, params):
+    for fn in (models.build, models.discriminant):
+        with pytest.raises(InvalidParams):
+            fn(family, params)
