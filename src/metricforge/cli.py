@@ -365,6 +365,7 @@ def cmd_sweep(args, tols):
     axes = [_parse_axis(a) for a in (args.axis or [])]
     if not axes:
         raise AxisError("sweep needs at least one --axis name=start:stop:count")
+    models._check_param_names(spec["family"], [name for name, _ in axes])
     diagram = phase.sweep(spec["family"], params or {}, axes,
                           real_tol=tols["real_tol"],
                           defect_tol=tols["defect_tol"])

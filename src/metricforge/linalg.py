@@ -2,11 +2,12 @@
 
 Everything downstream (metric construction, phase classification, time
 evolution) runs on the kernels in this module: partial-pivot LU inversion,
-a general complex eigensolver (closed form for 2x2, Hessenberg + shifted QR
-above that), a cyclic Jacobi eigensolver for Hermitian matrices, and the
-matrix exponential.  Matrices are plain ``numpy.ndarray`` of complex128;
-``numpy`` supplies storage and elementwise arithmetic only, never its own
-factorizations.
+a general complex eigensolver (closed form for 2x2; above that one complex
+Schur form by Hessenberg + shifted QR, with eigenvectors by triangular
+back-substitution), Hermitian spectra by Householder tridiagonalization and
+implicit QL, and the matrix exponential.  Matrices are plain
+``numpy.ndarray`` of complex128; ``numpy`` supplies storage and elementwise
+arithmetic only, never its own factorizations.
 
 All tolerances are relative to the Frobenius norm of the input.
 """
@@ -29,6 +30,7 @@ EXP_TOL = 1e-12
 SINGULAR_TOL = 1e-13
 CLUSTER_TOL = 1e-7
 COND_MAX = 1e8
+QL_MAX_ITERS = 30  # per eigenvalue
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -64,8 +66,8 @@ def frob(m) -> float:
 class EigenPair:
     """One eigenvalue with its right eigenvector and its left eigenvector
     (eigenvector of the adjoint for the conjugate eigenvalue).  Both are
-    computed for this eigenvalue (above 2x2 from one shifted LU of M), so
-    they pair by construction."""
+    computed for this eigenvalue (above 2x2 from the same Schur form of M),
+    so they pair by construction."""
 
     value: complex
     right: np.ndarray
@@ -76,15 +78,15 @@ class EigenPair:
 # LU factorization and inversion
 # ---------------------------------------------------------------------------
 
-def _lu_factor(m: np.ndarray, singular_tol: float = SINGULAR_TOL):
+def _lu_factor(m: np.ndarray):
     """Partial-pivot LU. Returns (combined LU, pivot rows).
 
-    Raises SingularMatrix when a pivot falls below singular_tol * ||m||.
+    Raises SingularMatrix when a pivot falls below SINGULAR_TOL * ||m||.
     """
     a = m.astype(complex, copy=True)
     n = a.shape[0]
     piv = np.arange(n)
-    floor = singular_tol * max(frob(m), 1e-300)
+    floor = SINGULAR_TOL * max(frob(m), 1e-300)
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[p, k]) <= floor:
@@ -107,19 +109,6 @@ def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[k] -= lu[k, :k] @ x[:k]
     for k in range(n - 1, -1, -1):  # backward
         x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
-def _lu_solve_adjoint(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M^H x = b from the LU of M (P M = L U, so M^H = U^H L^H P)."""
-    n = lu.shape[0]
-    y = b.astype(complex)
-    for k in range(n):              # forward, lower triangle U^H
-        y[k] = (y[k] - lu[:k, k].conj() @ y[:k]) / lu[k, k].conjugate()
-    for k in range(n - 2, -1, -1):  # backward, unit upper triangle L^H
-        y[k] -= lu[k + 1:, k].conj() @ y[k + 1:]
-    x = np.empty_like(y)
-    x[piv] = y
     return x
 
 
@@ -171,26 +160,39 @@ def _eig2_vector(a: np.ndarray, lam: complex) -> np.ndarray:
     return v / nv
 
 
-def _hessenberg(m: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (eigenvalue-preserving)."""
+def _reflector(x: np.ndarray):
+    """Unit v with (I - 2 v v^H) x = alpha e_0, |alpha| = ||x||, or None
+    when x is numerically zero."""
+    nx = np.sqrt(np.sum(np.abs(x) ** 2))
+    if nx <= 1e-300:
+        return None
+    alpha = -np.exp(1j * np.angle(x[0])) * nx if x[0] != 0 else -nx
+    v = x.copy()
+    v[0] -= alpha
+    nv = np.sqrt(np.sum(np.abs(v) ** 2))
+    if nv <= 1e-300:
+        return None
+    return v / nv
+
+
+def _hessenberg(m: np.ndarray):
+    """Householder reduction M = Z H Z^H to upper Hessenberg H, Z unitary.
+
+    Entries below the subdiagonal are left at rounding level; nothing
+    downstream reads them.
+    """
     a = m.astype(complex, copy=True)
     n = a.shape[0]
+    z = np.eye(n, dtype=complex)
     for k in range(n - 2):
-        x = a[k + 1:, k]
-        nx = np.sqrt(np.sum(np.abs(x) ** 2))
-        if nx <= 1e-300:
+        v = _reflector(a[k + 1:, k])
+        if v is None:
             continue
-        alpha = -np.exp(1j * np.angle(x[0])) * nx if x[0] != 0 else -nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.sqrt(np.sum(np.abs(v) ** 2))
-        if nv <= 1e-300:
-            continue
-        v /= nv
-        # a <- P a P with P = I - 2 v v^H on the trailing block
+        # a <- P a P and z <- z P with P = I - 2 v v^H on the trailing block
         a[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ a[k + 1:, k:])
         a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v.conj())
-    return a
+        z[:, k + 1:] -= 2.0 * np.outer(z[:, k + 1:] @ v, v.conj())
+    return a, z
 
 
 def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
@@ -205,25 +207,42 @@ def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
     return l1 if abs(l1 - d) <= abs(l2 - d) else l2
 
 
-def _qr_eigvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues by Wilkinson-shift QR on the Hessenberg form, within a
-    budget of 100 n shifted sweeps."""
+def _schur(m: np.ndarray):
+    """Complex Schur form M = Z T Z^H by Wilkinson-shift QR on the
+    Hessenberg form, within a budget of 100 n shifted sweeps.
+
+    Returns (T, Z): T is upper triangular with the eigenvalues on its
+    diagonal (only the entries on and above the diagonal are meaningful)
+    and Z is unitary.  Each sweep is an explicit single-shift QR step on
+    the active block B: factor B - mu I = QR with Givens rotations, then
+    B <- RQ + mu I.  The same rotations also update the rows of H right of
+    the block, the columns above it and Z; the arithmetic inside the block
+    does not depend on them.
+    """
     n = m.shape[0]
-    h = _hessenberg(m)
+    h, z = _hessenberg(m)
+    # Z stacked over H, so one column slice carries a rotation through Z
+    # and through the rows of H down to the rotated pair
+    zh = np.vstack([z, h])
+    h = zh[n:]
     scale = max(frob(m), 1e-300)
     eps = 1e-15
-    vals = np.empty(n, dtype=complex)
     hi = n - 1
     iters = 0
     stuck = 0
     while hi > 0:
-        # deflate negligible subdiagonals
+        # deflate negligible subdiagonals; once an exceptional shift has
+        # not helped either, also accept one at the rounding level of M
+        # itself (a nearly defective pair can stall just above the local
+        # test)
+        stalled = eps * scale if stuck >= 12 else 0.0
         deflated = False
         for k in range(hi, 0, -1):
-            if abs(h[k, k - 1]) <= eps * (abs(h[k - 1, k - 1]) + abs(h[k, k]) + eps * scale):
+            sub = abs(h[k, k - 1])
+            if (sub <= eps * (abs(h[k - 1, k - 1]) + abs(h[k, k]) + eps * scale)
+                    or sub <= stalled):
                 h[k, k - 1] = 0.0
                 if k == hi:
-                    vals[hi] = h[hi, hi]
                     hi -= 1
                     stuck = 0
                     deflated = True
@@ -243,34 +262,29 @@ def _qr_eigvalues(m: np.ndarray) -> np.ndarray:
         mu = _wilkinson_shift(h, hi)
         if stuck % 12 == 0:  # exceptional shift against rare cycling
             mu = mu + (0.75 + 0.3j) * abs(h[hi, hi - 1])
-        # explicit single-shift QR step, confined to the active block:
-        # factor (B - mu I) = QR with Givens rotations, then B <- RQ + mu I
-        b = h[lo:hi + 1, lo:hi + 1]
-        msize = hi - lo + 1
-        for k in range(msize):
-            b[k, k] -= mu
+        for k in range(lo, hi + 1):
+            h[k, k] -= mu
         rots = []
-        for k in range(msize - 1):
-            x, y = b[k, k], b[k + 1, k]
+        for k in range(lo, hi):
+            x, y = h[k, k], h[k + 1, k]
             r = math.hypot(abs(x), abs(y))
             if r <= 1e-300:
                 c, s = 1.0 + 0j, 0.0 + 0j
             else:
                 c, s = x / r, y / r
             rots.append((c, s))
-            rk = b[k, k:].copy()
-            rk1 = b[k + 1, k:].copy()
-            b[k, k:] = c.conjugate() * rk + s.conjugate() * rk1
-            b[k + 1, k:] = -s * rk + c * rk1
-        for k, (c, s) in enumerate(rots):
-            ck = b[:k + 2, k].copy()
-            ck1 = b[:k + 2, k + 1].copy()
-            b[:k + 2, k] = ck * c + ck1 * s
-            b[:k + 2, k + 1] = -ck * s.conjugate() + ck1 * c.conjugate()
-        for k in range(msize):
-            b[k, k] += mu
-    vals[0] = h[0, 0]
-    return vals
+            rk = h[k, k:].copy()
+            rk1 = h[k + 1, k:].copy()
+            h[k, k:] = c.conjugate() * rk + s.conjugate() * rk1
+            h[k + 1, k:] = -s * rk + c * rk1
+        for k, (c, s) in zip(range(lo, hi), rots):
+            ck = zh[:n + k + 2, k].copy()
+            ck1 = zh[:n + k + 2, k + 1].copy()
+            zh[:n + k + 2, k] = ck * c + ck1 * s
+            zh[:n + k + 2, k + 1] = -ck * s.conjugate() + ck1 * c.conjugate()
+        for k in range(lo, hi + 1):
+            h[k, k] += mu
+    return h, zh[:n]
 
 
 def _eig2_vectors(m: np.ndarray, vals) -> list[np.ndarray]:
@@ -286,61 +300,29 @@ def _eig2_vectors(m: np.ndarray, vals) -> list[np.ndarray]:
     return [v1, _eig2_vector(m, vals[1])]
 
 
-def _inverse_iteration(m: np.ndarray, lam: complex, scale: float,
-                       right_cluster: list[np.ndarray],
-                       left_cluster: list[np.ndarray]):
-    """Right and left eigenvectors for lam by inverse iteration with a
-    slightly perturbed shift.
+def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
+    """Right eigenvectors of an upper-triangular T, as the columns of an
+    upper-triangular X (LAPACK xTREVC).
 
-    Each attempt factors M - shift I once.  The right vector iterates with
-    that LU, the left vector with its adjoint solve, which is inverse
-    iteration on M^H at the conjugate shift.  Each side has its own random
-    start and its own list of vectors already found for the same eigenvalue
-    cluster; those are projected out of every iterate so repeated
-    eigenvalues get independent directions.  Raises NoConvergence when no
-    attempt yields a vector.
+    One back-substitution serves every eigenvalue at once: row i of X is
+    solved for all columns k > i together.  A pivot T_ii - T_kk smaller
+    than eps ||T|| is replaced by eps ||T||, so repeated eigenvalues still
+    get finite, independent vectors; a column is rescaled before it can
+    overflow.
     """
-    n = m.shape[0]
-    eye = np.eye(n, dtype=complex)
-    tol = 1e-12 * max(scale, 1.0)
-    # per side: matrix, its eigenvalue, solver, deflation list, random stream
-    sides = [(m, lam, _lu_solve, right_cluster, np.random.default_rng(0x5EED ^ n)),
-             (m.conj().T, lam.conjugate(), _lu_solve_adjoint, left_cluster,
-              np.random.default_rng(0x5EED ^ n))]
-    best = [None, None]
-    best_res = [np.inf, np.inf]
-    for attempt in range(4):
-        shift = lam + (1e-12 * scale if scale > 0 else 1e-12) * (1 + attempt * 97)
-        try:
-            lu, piv = _lu_factor(m - shift * eye, singular_tol=1e-18)
-        except SingularMatrix:
-            continue
-        for i, (a, target, lu_solve, deflate, rng) in enumerate(sides):
-            if best_res[i] <= tol:
-                continue
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for u in deflate:
-                v -= (u.conj() @ v) * u
-            v /= np.sqrt(np.sum(np.abs(v) ** 2))
-            for _ in range(3 + attempt):
-                v = lu_solve(lu, piv, v)
-                for u in deflate:
-                    v -= (u.conj() @ v) * u
-                nv = np.sqrt(np.sum(np.abs(v) ** 2))
-                if not np.isfinite(nv) or nv <= 1e-300:
-                    break
-                v /= nv
-            else:
-                res = np.sqrt(np.sum(np.abs(a @ v - target * v) ** 2))
-                if res < best_res[i]:
-                    best[i], best_res[i] = v, res
-        if max(best_res) <= tol:
-            break
-    if best[0] is None or best[1] is None:
-        raise NoConvergence(
-            f"inverse iteration found no eigenvector for {complex(lam)!r}"
-        )
-    return best[0], best[1]
+    n = t.shape[0]
+    lam = np.diag(t)
+    floor = np.finfo(float).eps * max(frob(np.triu(t)), 1e-300)
+    x = np.eye(n, dtype=complex)
+    for i in range(n - 2, -1, -1):
+        d = t[i, i] - lam[i + 1:]
+        d[np.abs(d) < floor] = floor
+        row = -(t[i, i + 1:] @ x[i + 1:, i + 1:]) / d
+        x[i, i + 1:] = row
+        big = np.abs(row) > 1e100
+        if big.any():
+            x[:, i + 1:][:, big] /= np.abs(row[big])
+    return x
 
 
 def _eigensystem(m: np.ndarray):
@@ -354,38 +336,32 @@ def _eigensystem(m: np.ndarray):
         vals = sorted([l1, l2], key=lambda z: (z.real, z.imag))
         return (np.array(vals), _eig2_vectors(m, vals),
                 _eig2_vectors(m.conj().T, [z.conjugate() for z in vals]))
-    vals = _qr_eigvalues(m)
+    t, z = _schur(m)
+    vals = np.diag(t).copy()
+    # M = Z T Z^H: right vectors Z X from T; left vectors Z Y from T^H,
+    # which is upper triangular after reversing its rows and columns
+    rights = z @ _triangular_eigvecs(t)
+    lefts = z @ _triangular_eigvecs(t.conj().T[::-1, ::-1])[::-1, ::-1]
+    rights /= np.sqrt(np.sum(np.abs(rights) ** 2, axis=0))
+    lefts /= np.sqrt(np.sum(np.abs(lefts) ** 2, axis=0))
     order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    scale = frob(m)
-    rights: list[np.ndarray] = []
-    lefts: list[np.ndarray] = []
-    r_cluster: list[np.ndarray] = []
-    l_cluster: list[np.ndarray] = []
-    for i, lam in enumerate(vals):
-        if i > 0 and abs(lam - vals[i - 1]) > CLUSTER_TOL * max(scale, 1e-300):
-            r_cluster, l_cluster = [], []
-        r, l = _inverse_iteration(m, lam, scale, r_cluster, l_cluster)
-        r_cluster.append(r)
-        l_cluster.append(l)
-        rights.append(r)
-        lefts.append(l)
-    return vals, rights, lefts
+    return (vals[order], [rights[:, k].copy() for k in order],
+            [lefts[:, k].copy() for k in order])
 
 
 def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
                    allow_defective: bool = False) -> list[EigenPair]:
     """Full eigendecomposition with left eigenvectors.
 
-    One Hessenberg + shifted QR run on M gives the eigenvalues (closed form
-    for 2x2).  For each eigenvalue, inverse iteration factors M - shift I
-    once and takes the right vector from that LU and the left vector from
-    its adjoint solve (the LAPACK xHSEIN approach), so pair k holds the
-    right and left vectors of eigenvalue k.  Eigenvalues are sorted
-    ascending by (Re, Im).  Raises NoConvergence when QR or inverse
-    iteration fails, and DefectiveMatrix when a left/right pair is
-    numerically orthogonal, unless allow_defective is set (phase
-    classification needs the raw overlap).
+    Closed form for 2x2.  Above that, one Hessenberg + shifted QR run gives
+    the Schur form M = Z T Z^H; the right vectors are Z X and the left
+    vectors Z Y, where X and Y are the eigenvectors of T and T^H from
+    triangular back-substitution over all eigenvalues at once (the LAPACK
+    xTREVC approach), so pair k holds the right and left vectors of
+    eigenvalue k, each of unit norm.  Eigenvalues are sorted ascending by
+    (Re, Im).  Raises NoConvergence when QR fails, and DefectiveMatrix when
+    a left/right pair is numerically orthogonal, unless allow_defective is
+    set (phase classification needs the raw overlap).
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -397,7 +373,7 @@ def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
         return [EigenPair(value=0j, right=eye[:, k].copy(),
                           left=eye[:, k].copy()) for k in range(n)]
     # normalize extreme magnitudes (subnormal or huge entries break the
-    # fixed absolute thresholds inside the QR/inverse-iteration kernels)
+    # fixed absolute thresholds inside the QR kernel)
     factor = 1.0
     if fa < 1e-100 or fa > 1e100:
         factor = fa
@@ -427,16 +403,91 @@ def defect_indicator(pairs: list[EigenPair]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian spectrum (cyclic Jacobi)
+# Hermitian spectrum (tridiagonalization + implicit QL)
 # ---------------------------------------------------------------------------
 
-def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
-    """Real eigenvalues (ascending) of a Hermitian matrix, by cyclic Jacobi.
+def _tridiagonal(a: np.ndarray):
+    """Householder reduction of a Hermitian matrix to real symmetric
+    tridiagonal form: returns the diagonal d and the subdiagonal e.
 
-    Sweeps stop once the off-diagonal Frobenius norm, taken directly from
-    the off-diagonal entries, is at most 1e-14 ||M|| (60 sweeps at most).
-    Deriving it as ||A||^2 - sum |a_ii|^2 would cancel below about
-    sqrt(eps) ||M|| and never resolve that threshold.
+    The complex subdiagonal entries alpha_k are replaced by |alpha_k|, a
+    diagonal unitary similarity that leaves the eigenvalues unchanged.
+    """
+    a = a.copy()
+    n = a.shape[0]
+    e = np.empty(n - 1)
+    for k in range(n - 2):
+        e[k] = frob(a[k + 1:, k])
+        v = _reflector(a[k + 1:, k])
+        if v is None:
+            continue
+        # b <- P b P with P = I - 2 v v^H, as a Hermitian rank-2 update
+        b = a[k + 1:, k + 1:]
+        u = b @ v
+        w = u - (v.conj() @ u) * v
+        b -= 2.0 * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
+    e[n - 2] = abs(a[n - 1, n - 2])
+    return np.diag(a).real.copy(), e
+
+
+def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal (d, e) by implicit QL with
+    Wilkinson shifts (Golub & Van Loan 8.3; EISPACK tql1).
+
+    Raises NoConvergence when one eigenvalue needs more than QL_MAX_ITERS
+    iterations.
+    """
+    n = len(d)
+    e = e + [0.0]
+    eps = np.finfo(float).eps
+    for lo in range(n):
+        iters = 0
+        while True:
+            # the first negligible subdiagonal at or below lo ends the block
+            m = lo
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == lo:
+                break
+            if iters == QL_MAX_ITERS:
+                raise NoConvergence(
+                    f"QL iteration did not converge in {QL_MAX_ITERS} steps"
+                )
+            iters += 1
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the rotation split the block: recover
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return d
+
+
+def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
+    """Real eigenvalues (ascending) of a Hermitian matrix.
+
+    Householder reduction to real symmetric tridiagonal form, then implicit
+    QL with Wilkinson shifts.  Raises NotHermitian when ||M - M^H|| exceeds
+    herm_tol ||M||, and NoConvergence when QL does not converge.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -447,33 +498,10 @@ def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
             f"||M - M^H|| = {frob(a - a.conj().T):.3e} exceeds {herm_tol:.1e} * ||M||"
         )
     a = (a + a.conj().T) / 2.0
-    n = a.shape[0]
-    if n == 1:
+    if a.shape[0] == 1:
         return np.array([a[0, 0].real])
-    for _ in range(60):
-        off = frob(a - np.diag(np.diag(a)))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(tau * tau + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # unitary J: J[p,p]=c, J[p,q]=s*phase, J[q,p]=-s*conj(phase), J[q,q]=c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * phase.conjugate() * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * phase.conjugate() * row_p + c * row_q
-    return np.sort(np.diag(a).real)
+    d, e = _tridiagonal(a)
+    return np.sort(_tridiagonal_ql(d.tolist(), e.tolist()))
 
 
 # ---------------------------------------------------------------------------

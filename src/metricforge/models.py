@@ -23,7 +23,7 @@ Normalization conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -447,21 +447,27 @@ _INT_KEYS = {"n", "levels"}
 _ALIASES = {"eps": "epsilon"}
 
 
+def _check_param_names(family: str, names) -> None:
+    """Raise InvalidParams for an unknown family, or for a name (aliases
+    allowed) that is not one of the family's parameters."""
+    if family not in _PARAM_TYPES:
+        raise InvalidParams(f"unknown model family {family!r}")
+    known = _PARAM_NAMES[family]
+    for key in names:
+        if _ALIASES.get(key, key) not in known:
+            raise InvalidParams(f"unknown parameter {key!r} for {family}; "
+                                f"known: {', '.join(sorted(known))}")
+
+
 def _parse_params(family: str, params: dict):
     """The family's parameter record and the jc_full level count (default 1)
     from a flat mapping.  Raises InvalidParams for an unknown family, an
     unknown name, a value that is not a finite number, or a non-integer n
     or levels."""
-    cls = _PARAM_TYPES.get(family)
-    if cls is None:
-        raise InvalidParams(f"unknown model family {family!r}")
-    known = _PARAM_NAMES[family]
+    _check_param_names(family, params)
     kw = {}
     for key, value in params.items():
         k = _ALIASES.get(key, key)
-        if k not in known:
-            raise InvalidParams(f"unknown parameter {key!r} for {family}; "
-                                f"known: {', '.join(sorted(known))}")
         try:
             x = float(value)
         except (TypeError, ValueError):
@@ -476,7 +482,7 @@ def _parse_params(family: str, params: dict):
             x = int(x)
         kw[k] = x
     levels = kw.pop("levels", 1)
-    return cls(**kw), levels
+    return _PARAM_TYPES[family](**kw), levels
 
 
 def build(family: str, params: dict) -> ModelInstance:
@@ -492,5 +498,14 @@ def build(family: str, params: dict) -> ModelInstance:
 
 
 def discriminant(family: str, params: dict) -> float:
-    """Analytic phase discriminant (positive in the unbroken phase)."""
-    return _parse_params(family, params)[0].discriminant()
+    """Analytic phase discriminant (positive in the unbroken phase).
+
+    For jc_full it is that of the top doublet, n = levels - 1, the first
+    to break and the smallest over the doublets (as in its ModelInstance).
+    """
+    p, levels = _parse_params(family, params)
+    if family == "jc_full":
+        if levels < 1:
+            raise InvalidParams("levels must be >= 1")
+        p = replace(p, n=levels - 1)
+    return p.discriminant()

@@ -212,6 +212,18 @@ def test_malformed_axis_exit_2(capsys):
     assert json.loads(err)["error"] == "AxisError"
 
 
+def test_unknown_axis_name_exit_4(capsys):
+    code, out, err = run(capsys, ["sweep", "--model", "jc_doublet",
+                                  "--axis", "rhoo=0:0.5:3"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+    # an alias is a known name
+    doc = run_json(capsys, ["sweep", "--model", "jc_doublet",
+                            "--axis", "eps=0:0.5:3"])
+    points = doc["results"]["diagram"]["points"]
+    assert len(points) == 3 and all(p["error"] is None for p in points)
+
+
 # ---------------------------------------------------------------------------
 # sweep / ep
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy.linalg as npl
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricforge import linalg, metric, models
+from metricforge import linalg, metric, models, phase
 from metricforge.errors import InvalidParams
 
 RNG = np.random.default_rng(20240813)
@@ -252,6 +252,53 @@ def test_build_and_discriminant_agree():
     ]:
         inst = models.build(family, params)
         assert models.discriminant(family, params) == pytest.approx(inst.discriminant)
+
+
+def test_jc_full_ep_is_where_the_top_doublet_breaks():
+    # the top doublet (n = levels - 1) breaks first: 4 rho^2 levels = (omega - eps)^2
+    params = {"epsilon": 0.5, "omega": 1.0, "levels": 3}
+    ep = phase.find_exceptional("jc_full", params, "rho", 0.0, 0.5)
+    assert ep == pytest.approx(0.25 / math.sqrt(3), rel=1e-6)
+    assert models.discriminant("jc_full", {**params, "rho": 0.15}) < 0
+    for rho, label in ((0.99 * ep, models.PHASE_UNBROKEN),
+                       (1.01 * ep, models.PHASE_BROKEN)):
+        h = models.build("jc_full", {**params, "rho": rho}).hamiltonian
+        assert phase.classify(h).classification == label
+
+
+def _random_params(family, rng):
+    if family in ("jc_doublet", "jc_full"):
+        p = {"epsilon": rng.uniform(0.0, 1.0), "omega": rng.uniform(0.5, 1.5),
+             "rho": rng.uniform(0.0, 0.6)}
+        if family == "jc_full":
+            p["levels"] = int(rng.integers(1, 7))
+        else:
+            p["n"] = int(rng.integers(0, 4))
+        return p
+    if family == "pt_matrix":
+        return {"r": rng.uniform(0.0, 2.0), "s": rng.uniform(0.1, 2.0),
+                "t": rng.uniform(0.1, 2.0), "theta": rng.uniform(-math.pi, math.pi),
+                "phi": rng.uniform(-math.pi, math.pi)}
+    return {"m0": rng.uniform(0.0, 2.0), "kx": rng.uniform(-1.0, 1.0),
+            "v0": rng.uniform(0.0, 3.0)}
+
+
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_discriminant_sign_matches_numeric_phase(family):
+    # outside the band |disc| <= 1e-4 the analytic sign must agree with the
+    # numerical classification of the built Hamiltonian (jc_full: n up to 13)
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(30):
+        params = _random_params(family, rng)
+        disc = models.discriminant(family, params)
+        if abs(disc) <= 1e-4:
+            continue
+        label = phase.classify(models.build(family, params).hamiltonian).classification
+        want = models.PHASE_UNBROKEN if disc > 0 else models.PHASE_BROKEN
+        assert label == want, (params, disc)
+        checked += 1
+    assert checked >= 25
 
 
 def test_build_alias_and_unknown():
