@@ -163,7 +163,7 @@ def _load_input(args) -> dict:
 class ResolvedInput:
     """Matrices and optional model instance extracted from an input document."""
 
-    def __init__(self, doc: dict):
+    def __init__(self, doc: dict, herm_tol: float):
         self.doc = doc
         self.instance = None
         self.das = None
@@ -184,9 +184,16 @@ class ResolvedInput:
             if self.s is not None:
                 if self.s.shape != self.h.shape:
                     raise InvalidParams("matrix.s must match matrix.h in size")
-                linalg.inverse(self.s)  # must be invertible
+                resid = metric.check_pseudo_hermitian(self.h, self.s)
+                if resid > herm_tol:  # a singular S raised SingularMatrix
+                    raise InvalidParams(f"matrix.s does not intertwine "
+                                        f"matrix.h: residual {resid:.3e}")
             if "das" in spec:
                 self.das = _das_from_json(spec["das"])
+                das_mats = [self.das.reference_metric_q0, *self.das.generators,
+                            *self.das.projectors]
+                if any(m.shape != self.h.shape for m in das_mats):
+                    raise InvalidParams("das matrices must match matrix.h in size")
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -203,16 +210,13 @@ def _model_spec(doc: dict) -> dict:
 def _das_from_json(spec) -> metric.DasConstruction:
     try:
         q0 = _mat_from_json(spec["q0"], "das.q0")
-        generators = [
-            (_entry_from_json(g["energy"]), _mat_from_json(g["sigma"], "das.sigma"))
-            for g in spec["generators"]
-        ]
+        generators = [_mat_from_json(g["sigma"], "das.sigma")
+                      for g in spec["generators"]]
         projectors = [_mat_from_json(p, "das.projector")
                       for p in spec["projectors"]]
-        phases = [_entry_from_json(c) for c in spec.get("phases", [])]
     except (KeyError, TypeError) as exc:
         raise InvalidParams(f"bad das block: {exc}") from None
-    return metric.DasConstruction(q0, generators, projectors, phases)
+    return metric.DasConstruction(q0, generators, projectors)
 
 
 def _parse_tols(pairs) -> dict:
@@ -344,12 +348,12 @@ def _parse_psi0(text: str, dim: int) -> np.ndarray:
 
 def cmd_metric(args, tols):
     """metric and validate: the two differ only in the --method default."""
-    res = ResolvedInput(_load_input(args))
+    res = ResolvedInput(_load_input(args), tols["herm_tol"])
     return _build_metrics(res, args.method, tols), {}, res
 
 
 def cmd_compare(args, tols):
-    res = ResolvedInput(_load_input(args))
+    res = ResolvedInput(_load_input(args), tols["herm_tol"])
     built = _build_metrics(res, "both", tols)
     return {"comparison": built["comparison"]}, {}, res
 
@@ -361,7 +365,8 @@ def cmd_sweep(args, tols):
     spec = _model_spec(doc)
     params = spec.get("params", {})
     # the digest covers the model's family and params only
-    res = ResolvedInput({"model": {"family": spec["family"], "params": params}})
+    res = ResolvedInput({"model": {"family": spec["family"], "params": params}},
+                        tols["herm_tol"])
     axes = [_parse_axis(a) for a in (args.axis or [])]
     if not axes:
         raise AxisError("sweep needs at least one --axis name=start:stop:count")
@@ -378,7 +383,7 @@ def cmd_ep(args, tols):
     doc = _load_input(args)
     if "model" not in doc:
         raise InvalidParams("ep needs a model input")
-    res = ResolvedInput(doc)
+    res = ResolvedInput(doc, tols["herm_tol"])
     value = phase.find_exceptional(
         doc["model"]["family"], doc["model"].get("params", {}) or {},
         args.param, args.lo, args.hi, ep_tol=tols["ep_tol"])
@@ -386,7 +391,7 @@ def cmd_ep(args, tols):
 
 
 def cmd_evolve(args, tols):
-    res = ResolvedInput(_load_input(args))
+    res = ResolvedInput(_load_input(args), tols["herm_tol"])
     if args.steps < 2:
         raise InvalidParams("--steps must be >= 2")
     point = phase.classify(res.h, real_tol=tols["real_tol"],
@@ -425,7 +430,7 @@ def cmd_discriminate(args, tols):
     sin_theta = args.sin_theta
     res = None
     if getattr(args, "model", None) or getattr(args, "infile", None):
-        res = ResolvedInput(_load_input(args))
+        res = ResolvedInput(_load_input(args), tols["herm_tol"])
         if res.instance is not None and "sin_theta" in res.instance.extras:
             sin_theta = res.instance.extras["sin_theta"]
     m = dynamics.assemble_discrimination_metric(sin_theta)
@@ -457,7 +462,7 @@ def cmd_discriminate(args, tols):
 
 
 def cmd_model_show(args, tols):
-    res = ResolvedInput(_load_input(args))
+    res = ResolvedInput(_load_input(args), tols["herm_tol"])
     if res.instance is None:
         raise InvalidParams("model show needs a model input")
     inst = res.instance

@@ -6,7 +6,8 @@ Two construction routes are implemented:
   eigenvectors of a biorthonormal system;
 * the projector route ("das" in the API), assembling the metric from a
   reference metric q0, eigenstate-generating operators sigma_E and spectral
-  projectors P_E.
+  projectors P_E (Das & Greenwood, J. Math. Phys. 51 (2010) 042103), where
+  a unit phase on a term cancels, so none is stored.
 
 Both produce a Hermitian, positive-definite operator under which the
 Hamiltonian is self-adjoint (the intertwining relation m H = H^dagger m).
@@ -14,7 +15,7 @@ Hamiltonian is self-adjoint (the intertwining relation m H = H^dagger m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +69,13 @@ class DasConstruction:
     """Model-supplied data for the projector-based metric assembly."""
 
     reference_metric_q0: np.ndarray
-    generators: list[tuple[complex, np.ndarray]]  # (energy, sigma_E)
-    projectors: list[np.ndarray]                  # P_E, same order
-    phases: list[complex] = field(default_factory=list)  # c_E, unit modulus
+    generators: list[np.ndarray]  # sigma_E
+    projectors: list[np.ndarray]  # P_E, same order
 
     def check(self, biorth_tol: float = BIORTH_TOL) -> None:
+        if len(self.generators) != len(self.projectors):
+            raise ValueError(f"{len(self.generators)} generators for "
+                             f"{len(self.projectors)} projectors")
         n = self.reference_metric_q0.shape[0]
         total = np.zeros((n, n), dtype=complex)
         for p in self.projectors:
@@ -81,9 +84,6 @@ class DasConstruction:
             total += p
         if frob(total - np.eye(n)) > biorth_tol * n:
             raise ValueError("projectors do not resolve the identity")
-        for c in self.phases:
-            if abs(abs(c) - 1.0) > 1e-10:
-                raise ValueError(f"phase {c!r} is not unit modulus")
 
 
 def check_pseudo_hermitian(h, s) -> float:
@@ -175,21 +175,21 @@ def das_metric(construction: DasConstruction, *,
                biorth_tol: float = BIORTH_TOL) -> MetricOperator:
     """Assemble q = sum_E (sigma_E^dagger)^-1 q0 sigma_E^-1 P_E.
 
-    The construction is checked first (idempotent projectors resolving the
-    identity to biorth_tol, unit phases; ValueError otherwise).  The raw
-    assembly carries O(ulp) anti-Hermitian noise from the projector
-    products; it is symmetrized when that part is below herm_tol, otherwise
-    the construction data is inconsistent and NotHermitian is raised.
+    The construction is checked first (one generator per projector,
+    idempotent projectors resolving the identity to biorth_tol; ValueError
+    otherwise).  Each sigma_E is inverted once; (sigma_E^dagger)^-1 is the
+    adjoint of that inverse.  The raw assembly carries O(ulp) anti-Hermitian
+    noise from the projector products; it is symmetrized when that part is
+    below herm_tol, otherwise the construction data is inconsistent and
+    NotHermitian is raised.
     """
     construction.check(biorth_tol)
     q0 = as_matrix(construction.reference_metric_q0)
     n = q0.shape[0]
     q = np.zeros((n, n), dtype=complex)
-    for (energy, sigma), proj in zip(construction.generators, construction.projectors):
-        sig = as_matrix(sigma)
-        sig_inv = linalg.inverse(sig)
-        sig_dag_inv = linalg.inverse(adjoint(sig))
-        q += sig_dag_inv @ q0 @ sig_inv @ proj
+    for sigma, proj in zip(construction.generators, construction.projectors):
+        sig_inv = linalg.inverse(as_matrix(sigma))
+        q += adjoint(sig_inv) @ q0 @ sig_inv @ proj
     anti = frob(q - adjoint(q))
     if anti > herm_tol * max(frob(q), 1e-300):
         raise NotHermitian(

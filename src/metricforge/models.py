@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidParams
-from .linalg import EigenPair, adjoint, as_matrix, frob
+from .linalg import EigenPair, adjoint
 from .metric import DasConstruction, MetricOperator, check_pseudo_hermitian
 
 PHASE_UNBROKEN = "unbroken"
@@ -134,32 +134,22 @@ def _duals(pairs: list[EigenPair]) -> list[np.ndarray]:
     return out
 
 
-def _das_2x2(pairs: list[EigenPair], q0: np.ndarray, ref: int,
-             similarity: np.ndarray) -> DasConstruction:
+def _das_2x2(pairs: list[EigenPair], q0: np.ndarray, ref: int) -> DasConstruction:
     """Projector-route data for a 2x2 system with reference state pairs[ref].
 
-    sigma for the reference energy is the identity; the other generator is
-    the biorthogonal swap |psi_other><dual_ref| + |psi_ref><dual_other|
-    (the generalization of the spin-flip used by the doublet model).
+    The projectors are |psi_E><dual_E| in the order of pairs.  sigma for the
+    reference energy is the identity; the other generator is the
+    biorthogonal swap |psi_other><dual_ref| + |psi_ref><dual_other| (the
+    generalization of the spin-flip used by the doublet model).
     """
     duals = _duals(pairs)
     other = 1 - ref
     projectors = [np.outer(p.right, d.conj()) for p, d in zip(pairs, duals)]
-    sigma_other = (np.outer(pairs[other].right, duals[ref].conj())
-                   + np.outer(pairs[ref].right, duals[other].conj()))
     generators = [None, None]
-    generators[ref] = (pairs[ref].value, np.eye(2, dtype=complex))
-    generators[other] = (pairs[other].value, sigma_other)
-    phases = []
-    for p in pairs:
-        ov = complex(p.right.conj() @ as_matrix(similarity) @ p.right)
-        phases.append(ov / abs(ov) if abs(ov) > 0 else 1.0 + 0j)
-    return DasConstruction(
-        reference_metric_q0=q0,
-        generators=generators,
-        projectors=projectors,
-        phases=phases,
-    )
+    generators[ref] = np.eye(2, dtype=complex)
+    generators[other] = (np.outer(pairs[other].right, duals[ref].conj())
+                         + np.outer(pairs[ref].right, duals[other].conj()))
+    return DasConstruction(q0, generators, projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def jc_doublet(p: JCParams) -> ModelInstance:
     pairs = [EigenPair(lam_m, psi_m, phi_m), EigenPair(lam_p, psi_p, phi_p)]
     eta = np.array([[1.0, -st], [-st, 1.0]], dtype=complex)
     q0 = math.cos(th) * s
-    das = _das_2x2(pairs, q0, ref=0, similarity=s)
+    das = _das_2x2(pairs, q0, ref=0)
     return ModelInstance(
         "jc_doublet", params, h, s, [lam_m, lam_p], phase, disc,
         analytic_pairs=pairs,
@@ -263,22 +253,18 @@ def jc_full(p: JCParams, levels: int) -> ModelInstance:
     metric[0, 0] = 1.0  # phase freedom fixes the ground entry to +1
     q0 = np.zeros((dim, dim), dtype=complex)
     q0[0, 0] = 1.0
-    generators = [(complex(-p.epsilon / 2.0), eye.copy())]
+    generators = [eye.copy()]
     projectors = [np.outer(ground, ground.conj())]
-    phases = [1.0 + 0j]
     for n, inst in enumerate(blocks):
         for pair in inst.analytic_pairs:
             pairs.append(EigenPair(pair.value, embed_vec(pair.right, n),
                                    embed_vec(pair.left, n)))
         metric[1 + 2 * n:3 + 2 * n, 1 + 2 * n:3 + 2 * n] = inst.analytic_metric.matrix
         q0[1 + 2 * n:3 + 2 * n, 1 + 2 * n:3 + 2 * n] = inst.das_data.reference_metric_q0
-        for (energy, sigma), proj, c in zip(inst.das_data.generators,
-                                            inst.das_data.projectors,
-                                            inst.das_data.phases):
-            generators.append((energy, embed_mat(sigma, n, eye)))
+        for sigma, proj in zip(inst.das_data.generators, inst.das_data.projectors):
+            generators.append(embed_mat(sigma, n, eye))
             projectors.append(embed_mat(proj, n, zero))
-            phases.append(c)
-    das = DasConstruction(q0, generators, projectors, phases)
+    das = DasConstruction(q0, generators, projectors)
     return ModelInstance(
         "jc_full", params, h, s, vals, worst, disc,
         analytic_pairs=pairs,
@@ -347,7 +333,7 @@ def pt_matrix(p: PTParams) -> ModelInstance:
         [[t_, -1j * big_r * np.exp(1j * ph)],
          [1j * big_r * np.exp(-1j * ph), s_]])
     q0 = -((s_ + t_) / (2.0 * q)) * sim
-    das = _das_2x2(pairs, q0, ref=0, similarity=sim)
+    das = _das_2x2(pairs, q0, ref=0)
     return ModelInstance(
         "pt_matrix", params, h, sim, [e_m, e_p], phase, disc,
         analytic_pairs=pairs,
@@ -422,7 +408,7 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
         # degenerate reference direction; the metric itself is a valid q0
         # (it maps the reference spinor to its adjoint partner)
         q0 = eta
-    das = _das_2x2(pairs, q0, ref=0, similarity=sim)
+    das = _das_2x2(pairs, q0, ref=0)
     return ModelInstance(
         "dirac_scalar", params, h, sim, [-e + 0j, e + 0j], phase, disc,
         analytic_pairs=pairs,

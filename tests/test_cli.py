@@ -134,6 +134,70 @@ def test_explicit_das_block(capsys, tmp_path):
     assert np.allclose(m, np.eye(2))
 
 
+
+def test_das_block_energy_and_phases_are_not_read(capsys, tmp_path):
+    doc = {"matrix": {
+        "h": [[1, 0], [0, 2]],
+        "das": {
+            "q0": [[1, 0], [0, 1]],
+            "generators": [{"sigma": [[1, 0], [0, 1]]},
+                           {"sigma": [[0, 1], [1, 0]]}],
+            "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "phases": [1, 2],
+        },
+    }}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = run_json(capsys, ["metric", "--in", str(path), "--method", "das"])
+    m = as_matrix(out["results"]["metrics"]["das"]["matrix"])
+    assert np.allclose(m, np.eye(2))
+
+
+def test_das_block_count_mismatch_exit_4(capsys, tmp_path):
+    doc = {"matrix": {
+        "h": [[1, 0], [0, 2]],
+        "das": {
+            "q0": [[1, 0], [0, 1]],
+            "generators": [{"energy": 1, "sigma": [[1, 0], [0, 1]]}],
+            "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        },
+    }}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["metric", "--in", str(path), "--method", "das"])
+    assert code == 4 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    assert "1 generators for 2 projectors" in body["message"]
+
+
+def test_das_block_size_mismatch_exit_4(capsys, tmp_path):
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    doc = {"matrix": {
+        "h": [[1, 0], [0, 2]],
+        "das": {"q0": eye3, "generators": [{"energy": 1, "sigma": eye3}],
+                "projectors": [eye3]},
+    }}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["metric", "--in", str(path), "--method", "das"])
+    assert code == 4 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    assert "match matrix.h in size" in body["message"]
+
+
+def test_non_intertwining_s_exit_4(capsys, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": {"h": [[1, 0.2], [-0.2, 2]],
+                                           "s": [[1, 1], [0, 1]]}}))
+    code, out, err = run(capsys, ["metric", "--in", str(path),
+                                  "--method", "spectral"])
+    assert code == 4 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    assert "does not intertwine" in body["message"]
+
 def _das_doc(d):
     """Explicit das block whose projectors are idempotent to about d."""
     return {"matrix": {

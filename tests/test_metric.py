@@ -133,7 +133,6 @@ def test_das_metric_rejects_inconsistent_q0():
         reference_metric_q0=np.diag([1.0, 2.0]).astype(complex),
         generators=inst.das_data.generators,
         projectors=inst.das_data.projectors,
-        phases=inst.das_data.phases,
     )
     with pytest.raises(NotHermitian):
         metric.das_metric(bad)
@@ -142,24 +141,37 @@ def test_das_metric_rejects_inconsistent_q0():
 def test_das_check_rejects_bad_projectors():
     bad = metric.DasConstruction(
         reference_metric_q0=np.eye(2, dtype=complex),
-        generators=[(0j, np.eye(2, dtype=complex))],
+        generators=[np.eye(2, dtype=complex)],
         projectors=[np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)],
     )
     with pytest.raises(ValueError):
         bad.check()
 
 
-def test_das_check_rejects_non_unit_phase():
+def test_das_check_rejects_count_mismatch():
     bad = metric.DasConstruction(
         reference_metric_q0=np.eye(2, dtype=complex),
-        generators=[(0j, np.eye(2, dtype=complex)),
-                    (1 + 0j, np.eye(2, dtype=complex))],
+        generators=[np.eye(2, dtype=complex)],
         projectors=[np.diag([1.0, 0.0]).astype(complex),
                     np.diag([0.0, 1.0]).astype(complex)],
-        phases=[1.0 + 0j, 2.0 + 0j],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 generators for 2 projectors"):
         bad.check()
+
+
+def test_das_metric_factors_each_generator_once(monkeypatch):
+    das = models.build("jc_full", {"rho": 0.05, "levels": 3}).das_data
+    calls = []
+    real_inverse = linalg.inverse
+
+    def counting_inverse(a):
+        calls.append(a)
+        return real_inverse(a)
+
+    monkeypatch.setattr(linalg, "inverse", counting_inverse)
+    metric.das_metric(das)
+    assert len(das.generators) == 7
+    assert len(calls) == len(das.generators)
 
 
 # ---------------------------------------------------------------------------
