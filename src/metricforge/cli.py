@@ -118,6 +118,26 @@ def _mat_from_json(rows, what: str) -> np.ndarray:
 # Input handling
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and inf with InvalidParams (exit 4).
+
+    The type of every float flag and the number parser of --axis, --psi0
+    and --tol.  Text that is no number raises ValueError, as float() does.
+    """
+    x = float(text)
+    if not math.isfinite(x):
+        raise InvalidParams(f"{text.strip()!r} is not a finite number")
+    return x
+
+
+def _positive(text: str) -> float:
+    """_finite(text), also refusing zero and negative values (exit 4)."""
+    x = _finite(text)
+    if x <= 0.0:
+        raise InvalidParams(f"{text.strip()!r} is not positive")
+    return x
+
+
 def _parse_kv_params(text: str) -> dict:
     out = {}
     for item in text.split(","):
@@ -230,7 +250,7 @@ def _parse_tols(pairs) -> dict:
             raise InvalidParams(f"unknown tolerance {k!r}; "
                                 f"known: {', '.join(sorted(tols))}")
         try:
-            tols[k] = float(v)
+            tols[k] = _positive(v)
         except ValueError:
             raise InvalidParams(f"--tol value {v!r} is not a number") from None
     return tols
@@ -240,7 +260,7 @@ def _parse_axis(spec: str) -> tuple:
     try:
         name, grid = spec.split("=", 1)
         start_s, stop_s, count_s = grid.split(":")
-        start, stop, count = float(start_s), float(stop_s), int(count_s)
+        start, stop, count = _finite(start_s), _finite(stop_s), int(count_s)
     except ValueError:
         raise AxisError(
             f"--axis {spec!r} is not name=start:stop:count") from None
@@ -332,7 +352,7 @@ def _parse_psi0(text: str, dim: int) -> np.ndarray:
     for p in parts:
         re_s, _, im_s = p.partition(":")
         try:
-            vals.append(complex(float(re_s), float(im_s) if im_s else 0.0))
+            vals.append(complex(_finite(re_s), _finite(im_s) if im_s else 0.0))
         except ValueError:
             raise InvalidParams(f"--psi0 entry {p!r} is not re or re:im") from None
     v = np.array(vals, dtype=complex)
@@ -530,15 +550,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ep", help="bisect for an exceptional point")
     _add_input_flags(p)
     p.add_argument("--param", required=True)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--lo", type=_finite, required=True)
+    p.add_argument("--hi", type=_finite, required=True)
     p.set_defaults(handler=cmd_ep)
 
     p = sub.add_parser("evolve", help="time evolution with norm tracking")
     _add_input_flags(p)
-    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--tmax", type=_finite, default=10.0)
     p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--hbar", type=_positive, default=1.0)
     p.add_argument("--psi0", help="initial state re:im,re:im,... (normalized)")
     p.add_argument("--allow-broken", action="store_true",
                    help="evolve even when the spectrum is not real")
@@ -547,9 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate",
                        help="entangled-pair overlap under the metric")
     _add_input_flags(p)
-    p.add_argument("--theta", type=float, default=math.pi / 3)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--sin-theta", type=float, default=0.5,
+    p.add_argument("--theta", type=_finite, default=math.pi / 3)
+    p.add_argument("--eps", type=_finite, default=0.05)
+    p.add_argument("--sin-theta", type=_finite, default=0.5,
                    help="doublet mixing used in the 4x4 metric "
                         "(overridden by a jc_doublet model input)")
     p.add_argument("--axis", metavar="theta=START:STOP:COUNT",

@@ -2,10 +2,10 @@
 
 Everything downstream (metric construction, phase classification, time
 evolution) runs on the kernels in this module: partial-pivot LU inversion,
-a general complex eigensolver (closed form for 2x2; above that one complex
-Schur form by Hessenberg + shifted QR, with eigenvectors by triangular
-back-substitution), Hermitian spectra by Householder tridiagonalization and
-implicit QL, and the matrix exponential.  Matrices are plain
+a general complex eigensolver (one complex Schur form for every n, closed
+form at 2x2 and Hessenberg + shifted QR above, with eigenvectors by
+triangular back-substitution), Hermitian spectra by Householder
+tridiagonalization and implicit QL, and the matrix exponential.  Matrices are plain
 ``numpy.ndarray`` of complex128; ``numpy`` supplies storage and elementwise
 arithmetic only, never its own factorizations.
 
@@ -23,12 +23,10 @@ from .errors import DefectiveMatrix, NoConvergence, NotHermitian, SingularMatrix
 
 # Default tolerances, an order below expected double-precision QR accuracy
 # at n <= 64.
-EIG_TOL = 1e-8
 HERM_TOL = 1e-10
 DEFECT_TOL = 1e-8
 EXP_TOL = 1e-12
 SINGULAR_TOL = 1e-13
-CLUSTER_TOL = 1e-7
 COND_MAX = 1e8
 QL_MAX_ITERS = 30  # per eigenvalue
 
@@ -66,8 +64,8 @@ def frob(m) -> float:
 class EigenPair:
     """One eigenvalue with its right eigenvector and its left eigenvector
     (eigenvector of the adjoint for the conjugate eigenvalue).  Both are
-    computed for this eigenvalue (above 2x2 from the same Schur form of M),
-    so they pair by construction."""
+    computed for this eigenvalue from the same Schur form of M, so they pair
+    by construction."""
 
     value: complex
     right: np.ndarray
@@ -135,16 +133,13 @@ def inverse(m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _eig2_values(a: np.ndarray):
-    """Eigenvalues of a 2x2 via the quadratic formula (stable variant)."""
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    # pick the sign that avoids cancellation
-    if (tr.conjugate() * disc).real < 0:
-        disc = -disc
-    l1 = (tr + disc) / 2.0
-    l2 = det / l1 if abs(l1) > 0 else tr - l1
-    return l1, l2
+    """Eigenvalues c +- sqrt(((a00 - a11)/2)^2 + a01 a10) of a 2x2, centred
+    on the mean c of the diagonal: a nearly scalar diagonal keeps its split
+    to working accuracy, where tr^2 - 4 det would cancel."""
+    c = (a[0, 0] + a[1, 1]) / 2.0
+    half = (a[0, 0] - a[1, 1]) / 2.0
+    disc = np.sqrt(complex(half * half + a[0, 1] * a[1, 0]))
+    return c + disc, c - disc
 
 
 def _eig2_vector(a: np.ndarray, lam: complex) -> np.ndarray:
@@ -197,13 +192,8 @@ def _hessenberg(m: np.ndarray):
 
 def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
     """Eigenvalue of the trailing 2x2 closest to the corner entry."""
-    a, b = h[hi - 1, hi - 1], h[hi - 1, hi]
-    c, d = h[hi, hi - 1], h[hi, hi]
-    tr = a + d
-    det = a * d - b * c
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    l1 = (tr + disc) / 2.0
-    l2 = (tr - disc) / 2.0
+    l1, l2 = _eig2_values(h[hi - 1:hi + 1, hi - 1:hi + 1])
+    d = h[hi, hi]
     return l1 if abs(l1 - d) <= abs(l2 - d) else l2
 
 
@@ -218,8 +208,19 @@ def _schur(m: np.ndarray):
     B <- RQ + mu I.  The same rotations also update the rows of H right of
     the block, the columns above it and Z; the arithmetic inside the block
     does not depend on them.
+
+    A 2x2 needs no iteration: Z's first column is the eigenvector of the
+    first root from _eig2_values, its second column the orthogonal
+    complement, and both roots are written on T's diagonal, so equal roots
+    stay bit-equal.  A 1x1 returns T = M and Z = I.
     """
     n = m.shape[0]
+    if n == 2:
+        l1, l2 = _eig2_values(m)
+        z1 = _eig2_vector(m, l1)
+        z2 = np.array([-z1[1].conjugate(), z1[0].conjugate()])
+        return (np.array([[l1, z1.conj() @ m @ z2], [0.0, l2]]),
+                np.column_stack([z1, z2]))
     h, z = _hessenberg(m)
     # Z stacked over H, so one column slice carries a rotation through Z
     # and through the rows of H down to the rotated pair
@@ -287,19 +288,6 @@ def _schur(m: np.ndarray):
     return h, zh[:n]
 
 
-def _eig2_vectors(m: np.ndarray, vals) -> list[np.ndarray]:
-    """Eigenvectors of a 2x2 for its two sorted eigenvalues vals."""
-    v1 = _eig2_vector(m, vals[0])
-    if abs(vals[0] - vals[1]) <= CLUSTER_TOL * max(frob(m), 1e-300):
-        # independent second direction for (near-)degenerate case
-        v2 = np.array([-v1[1].conjugate(), v1[0].conjugate()])
-        r2 = m @ v2 - vals[1] * v2
-        if np.sqrt(np.sum(np.abs(r2) ** 2)) > EIG_TOL * max(frob(m), 1e-300):
-            v2 = _eig2_vector(m, vals[1])
-        return [v1, v2]
-    return [v1, _eig2_vector(m, vals[1])]
-
-
 def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
     """Right eigenvectors of an upper-triangular T, as the columns of an
     upper-triangular X (LAPACK xTREVC).
@@ -328,14 +316,6 @@ def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
 def _eigensystem(m: np.ndarray):
     """Eigenvalues sorted by (Re, Im), with right and left eigenvectors in
     the same order."""
-    n = m.shape[0]
-    if n == 1:
-        return np.array([m[0, 0]]), [np.array([1.0 + 0j])], [np.array([1.0 + 0j])]
-    if n == 2:
-        l1, l2 = _eig2_values(m)
-        vals = sorted([l1, l2], key=lambda z: (z.real, z.imag))
-        return (np.array(vals), _eig2_vectors(m, vals),
-                _eig2_vectors(m.conj().T, [z.conjugate() for z in vals]))
     t, z = _schur(m)
     vals = np.diag(t).copy()
     # M = Z T Z^H: right vectors Z X from T; left vectors Z Y from T^H,
@@ -353,8 +333,8 @@ def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
                    allow_defective: bool = False) -> list[EigenPair]:
     """Full eigendecomposition with left eigenvectors.
 
-    Closed form for 2x2.  Above that, one Hessenberg + shifted QR run gives
-    the Schur form M = Z T Z^H; the right vectors are Z X and the left
+    One Schur form M = Z T Z^H (closed form at 2x2, one Hessenberg +
+    shifted QR run above); for every n the right vectors are Z X and the left
     vectors Z Y, where X and Y are the eigenvectors of T and T^H from
     triangular back-substitution over all eigenvalues at once (the LAPACK
     xTREVC approach), so pair k holds the right and left vectors of

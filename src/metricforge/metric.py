@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BrokenPhase, DefectiveSystem, NotHermitian
+from .errors import BrokenPhase, DefectiveSystem, NotHermitian, SingularMatrix
 from .linalg import EigenPair, adjoint, as_matrix, as_vector, frob
 
 BIORTH_TOL = 1e-10
@@ -100,44 +100,39 @@ def biorthonormalize(raw: list[EigenPair], *,
                      defect_tol: float = linalg.DEFECT_TOL) -> BiorthSystem:
     """Rescale an eigensystem to <left_m|right_n> = delta_mn.
 
-    Right vectors are normalized to unit standard norm first; left vectors
-    absorb the biorthonormality factor.  Eigenvalues within
-    linalg.CLUSTER_TOL (relative to the largest |eigenvalue|) of each other
-    are treated as one cluster and rescaled jointly through the cluster
-    Gram matrix.
+    The right vectors, normalized to unit standard norm, are the columns of
+    R; the left vectors are the columns of (R^-1)^H, all from one LU of R.
+    With unit right vectors, 1/||left_k|| is the overlap |<l_k|r_k>| of the
+    unit pair, so the smallest of them is the defect indicator.
+    DefectiveSystem (an exceptional point) is raised when it falls below
+    defect_tol, and when R is singular, then carrying
+    linalg.defect_indicator of the raw pairs.
     """
     if not raw:
         raise ValueError("empty eigensystem")
-    dim = raw[0].right.size
     pairs = sorted(raw, key=lambda p: (p.value.real, p.value.imag))
-    rights = [p.right / np.sqrt(np.sum(np.abs(p.right) ** 2)) for p in pairs]
-    lefts = [p.left / np.sqrt(np.sum(np.abs(p.left) ** 2)) for p in pairs]
-    scale = max(abs(p.value) for p in pairs) or 1.0
-
-    out: list[EigenPair] = []
-    i = 0
-    while i < len(pairs):
-        j = i + 1
-        while (j < len(pairs) and abs(pairs[j].value - pairs[j - 1].value)
-               <= linalg.CLUSTER_TOL * scale):
-            j += 1
-        r_blk = np.column_stack(rights[i:j])
-        l_blk = np.column_stack(lefts[i:j])
-        gram = l_blk.conj().T @ r_blk
-        # smallest singular direction of the Gram block is the defect indicator
-        gg = linalg.hermitian_spectrum(gram.conj().T @ gram, herm_tol=1.0)
-        smin = float(np.sqrt(max(gg[0], 0.0)))
-        if smin < defect_tol:
-            raise DefectiveSystem(
-                f"self-overlap {smin:.3e} below {defect_tol:.1e}: eigensystem "
-                "incomplete (exceptional point)",
-                indicator=smin,
-            )
-        l_new = l_blk @ adjoint(linalg.inverse(gram))
-        for k in range(j - i):
-            out.append(EigenPair(pairs[i + k].value, r_blk[:, k], l_new[:, k]))
-        i = j
-    return BiorthSystem(pairs=out, dim=dim)
+    r = np.column_stack([p.right for p in pairs])
+    r = r / np.sqrt(np.sum(np.abs(r) ** 2, axis=0))
+    try:
+        lefts = adjoint(linalg.inverse(r))
+    except SingularMatrix:
+        smin = linalg.defect_indicator(pairs)
+        raise DefectiveSystem(
+            f"eigenvector matrix singular (self-overlap {smin:.3e}): "
+            "eigensystem incomplete (exceptional point)",
+            indicator=smin,
+        ) from None
+    smin = float(1.0 / np.max(np.sqrt(np.sum(np.abs(lefts) ** 2, axis=0))))
+    if smin < defect_tol:
+        raise DefectiveSystem(
+            f"self-overlap {smin:.3e} below {defect_tol:.1e}: eigensystem "
+            "incomplete (exceptional point)",
+            indicator=smin,
+        )
+    return BiorthSystem(
+        pairs=[EigenPair(p.value, r[:, k], lefts[:, k])
+               for k, p in enumerate(pairs)],
+        dim=r.shape[0])
 
 
 def spectral_metric(sys: BiorthSystem, *, h_scale: float | None = None,

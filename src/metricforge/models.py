@@ -402,11 +402,12 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
     eta = (big_m / (2.0 * e)) * np.array(
         [[1.0 + (cp - v0) ** 2 / big_m ** 2, 2.0 * v0 / big_m],
          [2.0 * v0 / big_m, 1.0 + (cp + v0) ** 2 / big_m ** 2]], dtype=complex)
-    if abs(cp + v0) > 1e-12 * max(abs(cp) + abs(v0), 1.0):
+    if abs(cp + v0) > 1e-3 * max(abs(cp) + abs(v0), 1.0):
         q0 = np.diag([(cp - v0) / (cp + v0), 1.0]).astype(complex)
     else:
-        # degenerate reference direction; the metric itself is a valid q0
-        # (it maps the reference spinor to its adjoint partner)
+        # near the pole of that q0, where the assembly's rounding error
+        # grows like 1/|cp + v0|: the metric itself is a valid q0 (it maps
+        # the reference spinor to its adjoint partner)
         q0 = eta
     das = _das_2x2(pairs, q0, ref=0)
     return ModelInstance(

@@ -169,8 +169,10 @@ def ep_brackets(diagram: PhaseDiagram) -> list:
     """Classification changes between grid neighbours along each axis.
 
     Any transition among unbroken/broken/exceptional marks a phase boundary
-    inside the cell (a grid point landing exactly on the boundary is itself
-    classified exceptional, so such hits produce brackets on both sides).
+    inside the cell.  A grid point on the boundary is classified exceptional
+    when its left/right overlap falls below defect_tol, and then produces
+    brackets on both sides; within about one ulp of the boundary the stored
+    matrix's own discriminant can instead make it unbroken or broken.
     """
     names = [n for n, _ in diagram.axes]
     shape = [len(v) for _, v in diagram.axes]

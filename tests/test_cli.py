@@ -85,6 +85,13 @@ def test_metric_complex_matrix_input(capsys, tmp_path):
     assert rep["intertwining_residual"] < 1e-10 and rep["positive"]
 
 
+def test_metric_dirac_near_q0_pole(capsys):
+    # 1e-7 from the pole of the diagonal reference metric q0
+    doc = run_json(capsys, ["metric", "--model", "dirac_scalar", "--params",
+                            "m0=1,kx=-0.5,v0=0.4999999", "--method", "both"])
+    assert doc["results"]["comparison"]["verdict"] == "equal"
+
+
 def test_compare_subcommand(capsys):
     doc = run_json(capsys, ["compare", *JC_ARGS])
     assert doc["results"]["comparison"]["verdict"] == "equal"
@@ -268,6 +275,24 @@ def test_parse_errors_exit_4(capsys):
         code, _, err = run(capsys, argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", *JC_ARGS, "--hbar", "0"],
+    ["evolve", *JC_ARGS, "--tmax", "nan"],
+    ["evolve", *JC_ARGS, "--tmax", "inf"],
+    ["evolve", *JC_ARGS, "--psi0", "nan,1"],
+    ["discriminate", "--axis", "theta=0:nan:5"],
+    ["discriminate", "--theta", "inf"],
+    ["sweep", *JC_ARGS, "--axis", "rho=inf:1:3"],
+    ["metric", *JC_ARGS, "--tol", "herm_tol=nan"],
+    ["metric", *JC_ARGS, "--tol", "defect_tol=-1"],
+], ids=["hbar-zero", "tmax-nan", "tmax-inf", "psi0-nan", "axis-nan",
+        "theta-inf", "axis-inf", "tol-nan", "tol-negative"])
+def test_non_finite_or_non_positive_numbers_exit_4(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
 
 
 def test_malformed_axis_exit_2(capsys):

@@ -81,6 +81,37 @@ def test_biorthonormalize_defective_raises():
     assert exc.value.indicator is not None and exc.value.indicator < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 5, 32])
+def test_biorthonormalize_one_lu(monkeypatch, n):
+    # the duals are the rows of one inverse of the unit right vectors
+    calls = []
+    for name in ("inverse", "hermitian_spectrum"):
+        def counted(*args, _name=name, _kernel=getattr(linalg, name), **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    pairs = linalg.eigendecompose(RNG.standard_normal((n, n))
+                                  + 1j * RNG.standard_normal((n, n)))
+    sysb = metric.biorthonormalize(pairs)
+    assert calls == ["inverse"]
+    assert linalg.frob(sysb.gram() - np.eye(n)) < 1e-10
+
+
+def test_biorthonormalize_defect_indicator_near_and_at_ep():
+    # jc_doublet (epsilon 0.5, omega 1, n 0) has its EP at rho = 0.25
+    for rho in (0.25 * (1.0 - 1e-12), 0.25):
+        h = models.build("jc_doublet", {"n": 0, "epsilon": 0.5, "omega": 1.0,
+                                        "rho": rho}).hamiltonian
+        pairs = linalg.eigendecompose(h, allow_defective=True)
+        with pytest.raises(DefectiveSystem) as exc:
+            metric.biorthonormalize(pairs, defect_tol=1e-5)
+        indicator = exc.value.indicator
+        assert math.isfinite(indicator) and indicator < 1e-5
+        if rho < 0.25:
+            ref = linalg.defect_indicator(pairs)
+            assert abs(indicator - ref) <= 0.01 * ref
+
+
 def test_biorthonormalize_empty():
     with pytest.raises(ValueError):
         metric.biorthonormalize([])
@@ -110,10 +141,10 @@ def test_spectral_metric_refuses_complex_spectrum():
 
 def test_spectral_metric_identity_for_hermitian():
     a = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-    h = (a + a.conj().T) / 2.0
-    sysb = metric.biorthonormalize(linalg.eigendecompose(h))
-    m = metric.spectral_metric(sysb, h_scale=linalg.frob(h))
-    assert linalg.frob(m.matrix - np.eye(3)) < 1e-8
+    for h in ((a + a.conj().T) / 2.0, 3.0 * np.eye(2, dtype=complex)):
+        sysb = metric.biorthonormalize(linalg.eigendecompose(h))
+        m = metric.spectral_metric(sysb, h_scale=linalg.frob(h))
+        assert linalg.frob(m.matrix - np.eye(h.shape[0])) < 1e-8
 
 
 # ---------------------------------------------------------------------------

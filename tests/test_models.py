@@ -214,6 +214,19 @@ def test_dirac_random_unbroken(kx, m0):
     assert_instance_consistent(inst)
 
 
+def test_dirac_projector_route_near_q0_pole():
+    # q0 = diag((cp - v0)/(cp + v0), 1) has a pole at v0 = -cp; within
+    # 1e-3 of it the route takes q0 = eta, so the assembly stays at the
+    # analytic metric all the way along a log-spaced approach
+    for gap in np.logspace(-1.0, -12.0, 23):
+        for v0 in (0.5 - gap, 0.5 + gap):
+            inst = models.build("dirac_scalar",
+                                {"m0": 1.0, "kx": -0.5, "v0": float(v0)})
+            eta = inst.analytic_metric.matrix
+            q = metric.das_metric(inst.das_data).matrix
+            assert linalg.frob(q - eta) <= 1e-13 * linalg.frob(eta), v0
+
+
 # ---------------------------------------------------------------------------
 # generic pipeline vs analytic metric
 # ---------------------------------------------------------------------------
@@ -238,6 +251,23 @@ def test_numeric_spectral_vs_analytic(family, params, verdicts):
     assert rep.intertwining_residual < 1e-10 and rep.positive
     cmp_ = metric.compare_metrics(m, inst.analytic_metric)
     assert cmp_.verdict in verdicts
+
+
+def test_jc_full_levels_12_metric_accuracy():
+    # doublet energies reach about 11 with splittings near 0.2; the Schur
+    # route keeps the closed-form metric to a few ulp in the median
+    rng = np.random.default_rng(12)
+    errors = []
+    for _ in range(20):
+        eps, omega = rng.uniform(0.2, 0.6), rng.uniform(0.9, 1.3)
+        rho = rng.uniform(0.3, 0.9) * (omega - eps) / (2.0 * math.sqrt(12))
+        inst = models.build("jc_full", {"levels": 12, "epsilon": eps,
+                                        "omega": omega, "rho": rho})
+        sysb = metric.biorthonormalize(linalg.eigendecompose(inst.hamiltonian))
+        m = metric.spectral_metric(sysb).matrix
+        ref = inst.analytic_metric.matrix
+        errors.append(linalg.frob(m - ref) / linalg.frob(ref))
+    assert np.median(errors) < 3.5e-15
 
 
 # ---------------------------------------------------------------------------
