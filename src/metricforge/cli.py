@@ -34,6 +34,7 @@ DEFAULT_TOLS = {
     "cmp_tol": metric.CMP_TOL,
     "ep_tol": phase.EP_TOL,
 }
+MAX_GRID_POINTS = 10 ** 6  # per --axis and per sweep grid
 
 
 class AxisError(MetricForgeError):
@@ -264,8 +265,8 @@ def _parse_axis(spec: str) -> tuple:
     except ValueError:
         raise AxisError(
             f"--axis {spec!r} is not name=start:stop:count") from None
-    if count < 1:
-        raise AxisError("axis count must be >= 1")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise AxisError(f"axis count must be in 1..{MAX_GRID_POINTS}")
     if count == 1:
         values = [start]
     else:
@@ -288,8 +289,8 @@ def _spectral_from_input(res: ResolvedInput, tols: dict) -> metric.MetricOperato
         raise BrokenPhase(
             f"model is in the broken phase (discriminant "
             f"{res.instance.discriminant:.6g} < 0); no positive metric exists")
-    pairs = linalg.eigendecompose(res.h, defect_tol=tols["defect_tol"])
-    sysb = metric.biorthonormalize(pairs, defect_tol=tols["defect_tol"])
+    sysb = metric.biorthonormalize(linalg.eigendecompose(res.h),
+                                   defect_tol=tols["defect_tol"])
     return metric.spectral_metric(
         sysb, h_scale=max(linalg.frob(res.h), 1e-300),
         real_tol=tols["real_tol"])
@@ -355,11 +356,13 @@ def _parse_psi0(text: str, dim: int) -> np.ndarray:
             vals.append(complex(_finite(re_s), _finite(im_s) if im_s else 0.0))
         except ValueError:
             raise InvalidParams(f"--psi0 entry {p!r} is not re or re:im") from None
-    v = np.array(vals, dtype=complex)
-    norm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
-    if norm == 0.0:
+    parts = np.array(vals, dtype=complex).view(float)  # re, im interleaved
+    big = float(np.max(np.abs(parts)))
+    if big == 0.0:
         raise InvalidParams("--psi0 must be nonzero")
-    return v / norm
+    # exact power-of-two scaling: the squares can neither overflow nor underflow
+    v = np.ldexp(parts, -math.frexp(big)[1]).view(complex)
+    return v / math.sqrt(float(np.sum(np.abs(v) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +393,8 @@ def cmd_sweep(args, tols):
     axes = [_parse_axis(a) for a in (args.axis or [])]
     if not axes:
         raise AxisError("sweep needs at least one --axis name=start:stop:count")
+    if math.prod(len(values) for _, values in axes) > MAX_GRID_POINTS:
+        raise AxisError(f"sweep grid exceeds {MAX_GRID_POINTS} points")
     models._check_param_names(spec["family"], [name for name, _ in axes])
     diagram = phase.sweep(spec["family"], params or {}, axes,
                           real_tol=tols["real_tol"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, phase
 from .errors import NotPositive
 from .linalg import as_matrix, as_vector
 from .metric import MetricOperator, metric_inner_product
@@ -193,7 +193,7 @@ def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport
     mat = as_matrix(m.matrix)
     if mat.shape[0] != pair.psi1.size:
         raise ValueError("metric dimension does not match the pair's basis")
-    eigs = linalg.hermitian_spectrum((mat + mat.conj().T) / 2.0, herm_tol=1.0)
+    eigs = linalg.hermitian_spectrum((mat + mat.conj().T) / 2.0)
     if (linalg.frob(mat - mat.conj().T)
             > linalg.HERM_TOL * max(linalg.frob(mat), 1e-300) or eigs[0] <= 0.0):
         raise NotPositive("candidate metric is not Hermitian positive-definite")
@@ -231,12 +231,12 @@ class ScanResult:
         return buf.getvalue()
 
 
-def orthogonality_scan(thetas, eps: float, m: MetricOperator,
-                       *, refine_tol: float = 1e-12) -> ScanResult:
+def orthogonality_scan(thetas, eps: float, m: MetricOperator) -> ScanResult:
     """Metric overlap of the pair across a theta grid.
 
     Zero crossings of the real part of the metric overlap (the overlap is
-    real for these real states and metrics) are refined by bisection.
+    real for these real states and metrics) are refined by phase.bisect to
+    1e-12 max(|a|, |b|, 1) of their grid cell [a, b].
     """
     grid = [float(t) for t in thetas]
     rows = []
@@ -259,17 +259,8 @@ def orthogonality_scan(thetas, eps: float, m: MetricOperator,
         if (fa > 0) == (fb > 0) or fb == 0.0:
             continue
         a, b = a_row.theta, b_row.theta
-        while (b - a) > refine_tol * max(abs(a), abs(b), 1.0):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        crossings.append(0.5 * (a + b))
+        crossings.append(phase.bisect(f, a, b, fa,
+                                      1e-12 * max(abs(a), abs(b), 1.0)))
     if rows and rows[-1].metric_overlap.real == 0.0:
         crossings.append(rows[-1].theta)
     return ScanResult(rows=rows, zero_crossings=crossings)

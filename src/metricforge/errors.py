@@ -22,7 +22,8 @@ class NoConvergence(MetricForgeError):
 
 
 class DefectiveMatrix(MetricForgeError):
-    """A left/right eigenvector pair is (numerically) orthogonal.
+    """A left/right eigenvector pair is (numerically) orthogonal: the base
+    class of DefectiveSystem, which metric.biorthonormalize raises.
 
     Carries the offending overlap in ``indicator``.
     """

@@ -5,9 +5,11 @@ evolution) runs on the kernels in this module: partial-pivot LU inversion,
 a general complex eigensolver (one complex Schur form for every n, closed
 form at 2x2 and Hessenberg + shifted QR above, with eigenvectors by
 triangular back-substitution), Hermitian spectra by Householder
-tridiagonalization and implicit QL, and the matrix exponential.  Matrices are plain
-``numpy.ndarray`` of complex128; ``numpy`` supplies storage and elementwise
-arithmetic only, never its own factorizations.
+tridiagonalization and implicit QL, and the matrix exponential.  The
+eigensolver only decomposes; metric.biorthonormalize alone refuses an
+incomplete eigensystem.  Matrices are plain ``numpy.ndarray`` of
+complex128; ``numpy`` supplies storage and elementwise arithmetic, never
+its own factorizations.
 
 All tolerances are relative to the Frobenius norm of the input.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefectiveMatrix, NoConvergence, NotHermitian, SingularMatrix
+from .errors import NoConvergence, NotHermitian, SingularMatrix
 
 # Default tolerances, an order below expected double-precision QR accuracy
 # at n <= 64.
@@ -329,8 +331,7 @@ def _eigensystem(m: np.ndarray):
             [lefts[:, k].copy() for k in order])
 
 
-def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
-                   allow_defective: bool = False) -> list[EigenPair]:
+def eigendecompose(m) -> list[EigenPair]:
     """Full eigendecomposition with left eigenvectors.
 
     One Schur form M = Z T Z^H (closed form at 2x2, one Hessenberg +
@@ -339,9 +340,9 @@ def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
     triangular back-substitution over all eigenvalues at once (the LAPACK
     xTREVC approach), so pair k holds the right and left vectors of
     eigenvalue k, each of unit norm.  Eigenvalues are sorted ascending by
-    (Re, Im).  Raises NoConvergence when QR fails, and DefectiveMatrix when
-    a left/right pair is numerically orthogonal, unless allow_defective is
-    set (phase classification needs the raw overlap).
+    (Re, Im).  Raises NoConvergence when QR fails.  At an exceptional point
+    a pair comes back numerically orthogonal (see defect_indicator); only
+    metric.biorthonormalize refuses it.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -359,17 +360,8 @@ def eigendecompose(m, *, defect_tol: float = DEFECT_TOL,
         factor = fa
         a = a / fa
     vals, rights, lefts = _eigensystem(a)
-    pairs = [EigenPair(value=complex(lam) * factor, right=r, left=l)
-             for lam, r, l in zip(vals, rights, lefts)]
-    if not allow_defective:
-        for p in pairs:
-            if abs(p.left.conj() @ p.right) < defect_tol:
-                raise DefectiveMatrix(
-                    "left/right eigenvector pair numerically orthogonal "
-                    f"at E={p.value!r} (exceptional point?)",
-                    indicator=float(abs(p.left.conj() @ p.right)),
-                )
-    return pairs
+    return [EigenPair(value=complex(lam) * factor, right=r, left=l)
+            for lam, r, l in zip(vals, rights, lefts)]
 
 
 def defect_indicator(pairs: list[EigenPair]) -> float:
@@ -462,20 +454,21 @@ def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
-def hermitian_spectrum(m, herm_tol: float = HERM_TOL) -> np.ndarray:
+def hermitian_spectrum(m) -> np.ndarray:
     """Real eigenvalues (ascending) of a Hermitian matrix.
 
     Householder reduction to real symmetric tridiagonal form, then implicit
     QL with Wilkinson shifts.  Raises NotHermitian when ||M - M^H|| exceeds
-    herm_tol ||M||, and NoConvergence when QL does not converge.
+    HERM_TOL ||M||, and NoConvergence when QL does not converge.  (A + A^H)/2
+    is Hermitian bit for bit, so it always passes.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("hermitian_spectrum needs a square matrix")
     scale = max(frob(a), 1e-300)
-    if frob(a - a.conj().T) > herm_tol * scale:
+    if frob(a - a.conj().T) > HERM_TOL * scale:
         raise NotHermitian(
-            f"||M - M^H|| = {frob(a - a.conj().T):.3e} exceeds {herm_tol:.1e} * ||M||"
+            f"||M - M^H|| = {frob(a - a.conj().T):.3e} exceeds {HERM_TOL:.1e} * ||M||"
         )
     a = (a + a.conj().T) / 2.0
     if a.shape[0] == 1:
@@ -496,7 +489,9 @@ def exp_propagator(m):
     number below COND_MAX) and reconstructs M, otherwise scaling-and-squaring
     with a Taylor series truncated once a term falls below EXP_TOL.  The
     decision does not depend on the scale, so a propagator built once
-    serves every time point of a trajectory.
+    serves every time point of a trajectory.  Near an EP, cond_F(V) >=
+    sqrt(n) / min_k |<l_k|r_k>| for unit vectors, so an overlap below
+    DEFECT_TOL fails COND_MAX; at an exact EP inverse(V) is singular.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -514,7 +509,7 @@ def exp_propagator(m):
                     lam = np.array([np.exp(scale * x) for x in values])
                     return v @ (lam[:, None] * vinv)
                 return diagonal
-    except (SingularMatrix, DefectiveMatrix, NoConvergence):
+    except (SingularMatrix, NoConvergence):
         pass
 
     def taylor(scale: complex) -> np.ndarray:

@@ -204,7 +204,7 @@ def validate_metric(h, m: MetricOperator, *,
         raise ValueError("dimension mismatch between H and metric")
     herm_res = frob(mat - adjoint(mat)) / max(frob(mat), 1e-300)
     sym = (mat + adjoint(mat)) / 2.0
-    eigs = linalg.hermitian_spectrum(sym, herm_tol=1.0)
+    eigs = linalg.hermitian_spectrum(sym)
     min_eig = float(eigs[0])
     denom = max(frob(mat) * frob(hm), 1e-300)
     intertwining = frob(mat @ hm - adjoint(hm) @ mat) / denom

@@ -75,7 +75,7 @@ def classify(h, *, real_tol: float = REAL_TOL,
     """
     hm = linalg.as_matrix(h)
     scale = max(linalg.frob(hm), 1e-300)
-    pairs = linalg.eigendecompose(hm, allow_defective=True)
+    pairs = linalg.eigendecompose(hm)
     max_imag = max(abs(p.value.imag) for p in pairs)
     defect = linalg.defect_indicator(pairs)
     if defect < defect_tol:
@@ -101,13 +101,30 @@ def classify(h, *, real_tol: float = REAL_TOL,
     )
 
 
+def bisect(f, a: float, b: float, fa: float, width: float) -> float:
+    """Sign change of f between a and b (either order; fa = f(a) != 0 and
+    f(b) of the other sign): the midpoint once |b - a| <= width, or the
+    first midpoint where f is exactly zero."""
+    while abs(b - a) > width:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def find_exceptional(family: str, base_params: dict, param: str,
                      lo: float, hi: float, *, ep_tol: float = EP_TOL) -> float:
     """Locate the unbroken/broken transition along one parameter by bisection.
 
     Bisects on the family's analytic discriminant (models.discriminant)
-    until the bracket is narrower than ep_tol * (hi - lo).  Endpoints must
-    straddle the transition; an unknown family raises InvalidParams.
+    until the bracket is narrower than ep_tol * |hi - lo|.  Endpoints must
+    straddle the transition, in either order; an unknown family raises
+    InvalidParams.
     """
     def disc(value: float) -> float:
         p = dict(base_params)
@@ -123,18 +140,7 @@ def find_exceptional(family: str, base_params: dict, param: str,
         raise NoBracket(
             f"classification does not change over [{lo}, {hi}] for {param!r}"
         )
-    width_goal = ep_tol * (hi - lo)
-    a, b, fa = lo, hi, f_lo
-    while (b - a) > width_goal:
-        mid = 0.5 * (a + b)
-        fm = disc(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return bisect(disc, lo, hi, f_lo, ep_tol * abs(hi - lo))
 
 
 def sweep(family: str, base_params: dict, axes: list, *,

@@ -124,7 +124,7 @@ def test_criterion_5_exceptional_points():
         found = phase.find_exceptional(family, base, param, lo, hi)
         assert abs(found - target) < 1e-8, (family, found)
         at_ep = models.build(family, {**base, param: target})
-        pairs = linalg.eigendecompose(at_ep.hamiltonian, allow_defective=True)
+        pairs = linalg.eigendecompose(at_ep.hamiltonian)
         assert linalg.defect_indicator(pairs) < 1e-8, family
         with pytest.raises(DefectiveSystem):
             metric.biorthonormalize(pairs)
@@ -163,14 +163,12 @@ def _random_broken_instances(count):
 
 def test_criterion_6_broken_phase_spectra():
     inst = models.build("jc_doublet", {"rho": 0.3})
-    vals = sorted((p.value for p in
-                   linalg.eigendecompose(inst.hamiltonian,
-                                         allow_defective=True)),
+    vals = sorted((p.value for p in linalg.eigendecompose(inst.hamiltonian)),
                   key=lambda z: z.imag)
     assert abs(vals[0] - (0.5 - 0.16583j)) < 1e-5
     assert abs(vals[1] - (0.5 + 0.16583j)) < 1e-5
     for inst in _random_broken_instances(1000):
-        pairs = linalg.eigendecompose(inst.hamiltonian, allow_defective=True)
+        pairs = linalg.eigendecompose(inst.hamiltonian)
         spec = [p.value for p in pairs]
         scale = max(max(abs(v) for v in spec), 1.0)
         for v in spec:

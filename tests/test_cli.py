@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricforge import cli
+from metricforge import cli, phase
 
 JC_ARGS = ["--model", "jc_doublet",
            "--params", "n=0,eps=0.5,omega=1,rho=0.125"]
@@ -301,6 +301,28 @@ def test_malformed_axis_exit_2(capsys):
     assert json.loads(err)["error"] == "AxisError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", *JC_ARGS, "--axis", "rho=0:0.5:1000000000000"],
+    ["sweep", *JC_ARGS, "--axis", "rho=0:0.5:1001",
+     "--axis", "eps=0:0.7:1000"],
+    ["discriminate", "--axis", "theta=0:1:1000001"],
+], ids=["axis-count", "grid-product", "discriminate-axis"])
+def test_grid_above_cap_exit_2(capsys, monkeypatch, argv):
+    # refused before anything is allocated: a grid above the cap or any
+    # sweep fails the test instead
+    linspace = np.linspace
+
+    def capped(start, stop, num, *args, **kwargs):
+        assert num <= 10 ** 6, num
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", capped)
+    monkeypatch.setattr(phase, "sweep", lambda *a, **k: pytest.fail("swept"))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "AxisError"
+
+
 def test_unknown_axis_name_exit_4(capsys):
     code, out, err = run(capsys, ["sweep", "--model", "jc_doublet",
                                   "--axis", "rhoo=0:0.5:3"])
@@ -391,6 +413,15 @@ def test_evolve_unbroken_summary(capsys, tmp_path):
     assert res["max_standard_norm_deviation"] > 1e-4
     lines = (out_dir / "evolution.csv").read_text().splitlines()
     assert len(lines) == 102
+
+
+@pytest.mark.parametrize("psi0", ["1e308,1e308", "1e-320,1e-320"])
+def test_psi0_extreme_entries_normalize(capsys, psi0):
+    # neither the squares of huge entries overflow nor those of tiny ones
+    # underflow: the state is that of --psi0 1,1
+    ref = run_json(capsys, ["evolve", *JC_ARGS, "--psi0", "1,1"])
+    doc = run_json(capsys, ["evolve", *JC_ARGS, "--psi0", psi0])
+    assert doc["results"] == ref["results"]
 
 
 def test_evolve_broken_requires_override(capsys):

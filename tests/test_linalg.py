@@ -7,8 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from metricforge import linalg, metric
-from metricforge.errors import (DefectiveMatrix, NoConvergence, NotHermitian,
-                                 SingularMatrix)
+from metricforge.errors import NoConvergence, NotHermitian, SingularMatrix
 
 RNG = np.random.default_rng(20240811)
 
@@ -98,7 +97,7 @@ def test_eigenvector_residuals(n):
 @given(complex_2x2())
 def test_2x2_eigenvalues_property(m):
     ref = list(npl.eigvals(m))
-    pairs = linalg.eigendecompose(m, allow_defective=True)
+    pairs = linalg.eigendecompose(m)
     scale = max(linalg.frob(m), 1.0)
     # multiset comparison: sort order is unstable under ulp-level ties
     for p in pairs:
@@ -188,9 +187,7 @@ def test_repeated_eigenvalues_non_normal():
 
 def test_defective_matrix_raises():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(DefectiveMatrix):
-        linalg.eigendecompose(jordan)
-    pairs = linalg.eigendecompose(jordan, allow_defective=True)
+    pairs = linalg.eigendecompose(jordan)
     assert linalg.defect_indicator(pairs) < 1e-6
 
 
@@ -209,7 +206,7 @@ def test_accuracy_near_exceptional_point():
         b[2:4, 2:4] = block
         h = q @ b @ q.conj().T
         for m in (block, h):
-            pairs = linalg.eigendecompose(m, allow_defective=True)
+            pairs = linalg.eigendecompose(m)
             near = sorted(pairs, key=lambda p: abs(p.value - 1.0))[:2]
             split = abs(near[0].value - near[1].value)
             assert abs(split - 2.0 * np.sqrt(d)) <= bound_factor * linalg.frob(m)

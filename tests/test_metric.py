@@ -75,7 +75,7 @@ def test_biorthonormalize_degenerate_cluster():
 
 def test_biorthonormalize_defective_raises():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    pairs = linalg.eigendecompose(jordan, allow_defective=True)
+    pairs = linalg.eigendecompose(jordan)
     with pytest.raises(DefectiveSystem) as exc:
         metric.biorthonormalize(pairs)
     assert exc.value.indicator is not None and exc.value.indicator < 1e-6
@@ -102,7 +102,7 @@ def test_biorthonormalize_defect_indicator_near_and_at_ep():
     for rho in (0.25 * (1.0 - 1e-12), 0.25):
         h = models.build("jc_doublet", {"n": 0, "epsilon": 0.5, "omega": 1.0,
                                         "rho": rho}).hamiltonian
-        pairs = linalg.eigendecompose(h, allow_defective=True)
+        pairs = linalg.eigendecompose(h)
         with pytest.raises(DefectiveSystem) as exc:
             metric.biorthonormalize(pairs, defect_tol=1e-5)
         indicator = exc.value.indicator

@@ -72,6 +72,11 @@ def test_find_exceptional_closed_forms():
                                 {"epsilon": 0.5, "omega": 1.0, "n": 0},
                                 "rho", 0.0, 0.5)
     assert abs(rc - 0.25) < 1e-8
+    # a reversed bracket is bisected like the ordered one
+    rc = phase.find_exceptional("jc_doublet",
+                                {"epsilon": 0.5, "omega": 1.0, "n": 0},
+                                "rho", 0.45, 0.0)
+    assert abs(rc - 0.25) < 1e-8
     sc = phase.find_exceptional("pt_matrix",
                                 {"r": 1.0, "theta": math.pi / 2, "t": 1.0,
                                  "phi": 0.0},
