@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_spectrum,
     inverse,
     mat_exp,
-    solve,
 )
 from .metric import (
     BiorthSystem,

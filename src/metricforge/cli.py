@@ -216,10 +216,6 @@ class ResolvedInput:
                 if any(m.shape != self.h.shape for m in das_mats):
                     raise InvalidParams("das matrices must match matrix.h in size")
 
-    def digest(self) -> str:
-        return hashlib.sha256(
-            dumps_canonical(self.doc).encode("utf-8")).hexdigest()
-
 
 def _model_spec(doc: dict) -> dict:
     spec = doc["model"]
@@ -332,12 +328,13 @@ def _build_metrics(res: ResolvedInput, method: str, tols: dict) -> dict:
         built["spectral"] = _spectral_from_input(res, tols)
     if method in ("das", "both"):
         built["das"] = _das_from_input(res, tols)
-    out = {"metrics": {k: _metric_entry(res, m, tols) for k, m in built.items()}}
-    if method == "both":
-        cmp_ = metric.compare_metrics(built["das"], built["spectral"],
-                                      cmp_tol=tols["cmp_tol"])
-        out["comparison"] = {"verdict": cmp_.verdict, "factor": cmp_.factor}
-    return out
+    return built
+
+
+def _comparison(built: dict, tols: dict) -> dict:
+    cmp_ = metric.compare_metrics(built["das"], built["spectral"],
+                                  cmp_tol=tols["cmp_tol"])
+    return {"verdict": cmp_.verdict, "factor": cmp_.factor}
 
 
 def _default_psi0(dim: int) -> np.ndarray:
@@ -366,81 +363,87 @@ def _parse_psi0(text: str, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results dict, {filename: csv text})
+# Subcommand handlers: each returns (results dict, {filename: csv text},
+# the input document whose digest is reported, or None)
 # ---------------------------------------------------------------------------
 
 def cmd_metric(args, tols):
     """metric and validate: the two differ only in the --method default."""
     res = ResolvedInput(_load_input(args), tols["herm_tol"])
-    return _build_metrics(res, args.method, tols), {}, res
+    built = _build_metrics(res, args.method, tols)
+    results = {"metrics": {k: _metric_entry(res, m, tols)
+                           for k, m in built.items()}}
+    if args.method == "both":
+        results["comparison"] = _comparison(built, tols)
+    return results, {}, res.doc
 
 
 def cmd_compare(args, tols):
     res = ResolvedInput(_load_input(args), tols["herm_tol"])
-    built = _build_metrics(res, "both", tols)
-    return {"comparison": built["comparison"]}, {}, res
+    return ({"comparison": _comparison(_build_metrics(res, "both", tols), tols)},
+            {}, res.doc)
+
+
+def _model_doc(doc: dict, command: str) -> tuple:
+    """(family, params) of a model document, for commands that vary the
+    parameters themselves and so build no model at the given point."""
+    if "model" not in doc:
+        raise InvalidParams(f"{command} needs a model input")
+    spec = _model_spec(doc)
+    return spec["family"], spec.get("params", {})
 
 
 def cmd_sweep(args, tols):
-    doc = _load_input(args)
-    if "model" not in doc:
-        raise InvalidParams("sweep needs a model input")
-    spec = _model_spec(doc)
-    params = spec.get("params", {})
-    # the digest covers the model's family and params only
-    res = ResolvedInput({"model": {"family": spec["family"], "params": params}},
-                        tols["herm_tol"])
+    family, params = _model_doc(_load_input(args), "sweep")
     axes = [_parse_axis(a) for a in (args.axis or [])]
     if not axes:
         raise AxisError("sweep needs at least one --axis name=start:stop:count")
     if math.prod(len(values) for _, values in axes) > MAX_GRID_POINTS:
         raise AxisError(f"sweep grid exceeds {MAX_GRID_POINTS} points")
-    models._check_param_names(spec["family"], [name for name, _ in axes])
-    diagram = phase.sweep(spec["family"], params or {}, axes,
+    models._check_fixed_params(family, params or {},
+                               [name for name, _ in axes])
+    diagram = phase.sweep(family, params or {}, axes,
                           real_tol=tols["real_tol"],
                           defect_tol=tols["defect_tol"])
     brackets = phase.ep_brackets(diagram)
     results = {"diagram": diagram.to_jsonable(), "ep_brackets": brackets}
-    return results, {"sweep.csv": diagram.to_csv()}, res
+    # the digest covers the model's family and params only
+    return (results, {"sweep.csv": diagram.to_csv()},
+            {"model": {"family": family, "params": params}})
 
 
 def cmd_ep(args, tols):
     doc = _load_input(args)
-    if "model" not in doc:
-        raise InvalidParams("ep needs a model input")
-    res = ResolvedInput(doc, tols["herm_tol"])
-    value = phase.find_exceptional(
-        doc["model"]["family"], doc["model"].get("params", {}) or {},
-        args.param, args.lo, args.hi, ep_tol=tols["ep_tol"])
-    return {"param": args.param, "value": value}, {}, res
+    family, params = _model_doc(doc, "ep")
+    # find_exceptional checks family, names and values at its own points
+    value = phase.find_exceptional(family, params or {}, args.param,
+                                   args.lo, args.hi, ep_tol=tols["ep_tol"])
+    return {"param": args.param, "value": value}, {}, doc
 
 
 def cmd_evolve(args, tols):
     res = ResolvedInput(_load_input(args), tols["herm_tol"])
     if args.steps < 2:
         raise InvalidParams("--steps must be >= 2")
-    point = phase.classify(res.h, real_tol=tols["real_tol"],
-                           defect_tol=tols["defect_tol"])
-    broken = point.classification != models.PHASE_UNBROKEN
+    label, _, _, m = phase.label_spectrum(res.h, real_tol=tols["real_tol"],
+                                          defect_tol=tols["defect_tol"])
+    broken = label != models.PHASE_UNBROKEN
     if broken and not args.allow_broken:
         raise BrokenPhase(
-            f"spectrum is {point.classification}; metric-norm evolution "
+            f"spectrum is {label}; metric-norm evolution "
             "needs the unbroken phase (pass --allow-broken to force)")
     dim = res.h.shape[0]
     psi0 = (_parse_psi0(args.psi0, dim) if args.psi0 else _default_psi0(dim))
-    m = None
-    if not broken:
-        if res.instance is not None and res.instance.analytic_metric is not None:
-            m = res.instance.analytic_metric
-        else:
-            m = _spectral_from_input(res, tols)
+    if (m is not None and res.instance is not None
+            and res.instance.analytic_metric is not None):
+        m = res.instance.analytic_metric
     times = np.linspace(0.0, args.tmax, args.steps)
     rec = dynamics.evolve(res.h, psi0, times, metric=m, hbar=args.hbar)
     metric_dev = float(np.max(np.abs(rec.metric_norms - rec.metric_norms[0]))
                        / max(rec.metric_norms[0], 1e-300))
     std_dev = float(np.max(np.abs(rec.standard_norms - rec.standard_norms[0])))
     results = {
-        "classification": point.classification,
+        "classification": label,
         "psi0": _vec2j(psi0),
         "max_metric_norm_deviation": metric_dev if m is not None else None,
         "max_standard_norm_deviation": std_dev,
@@ -448,14 +451,15 @@ def cmd_evolve(args, tols):
     }
     if broken:
         results["growth_rate"] = dynamics.growth_rate(rec)
-    return results, {"evolution.csv": rec.to_csv()}, res
+    return results, {"evolution.csv": rec.to_csv()}, res.doc
 
 
 def cmd_discriminate(args, tols):
     sin_theta = args.sin_theta
-    res = None
+    doc = None
     if getattr(args, "model", None) or getattr(args, "infile", None):
-        res = ResolvedInput(_load_input(args), tols["herm_tol"])
+        doc = _load_input(args)
+        res = ResolvedInput(doc, tols["herm_tol"])
         if res.instance is not None and "sin_theta" in res.instance.extras:
             sin_theta = res.instance.extras["sin_theta"]
     m = dynamics.assemble_discrimination_metric(sin_theta)
@@ -483,7 +487,7 @@ def cmd_discriminate(args, tols):
             "metric_overlap": _c2j(rep.metric_overlap),
             "distinguishability_gain": rep.distinguishability_gain,
         }
-    return results, files, res
+    return results, files, doc
 
 
 def cmd_model_show(args, tols):
@@ -504,7 +508,7 @@ def cmd_model_show(args, tols):
         "extras": {k: v for k, v in inst.extras.items()
                    if isinstance(v, (int, float, str, list))},
     }
-    return results, {}, res
+    return results, {}, res.doc
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +598,11 @@ def _run(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     tols = _parse_tols(getattr(args, "tol", None))
-    results, files, res = args.handler(args, tols)
+    results, files, source = args.handler(args, tols)
     doc = {
         "command": ["metricforge"] + list(argv),
-        "input_digest": res.digest() if res is not None else None,
+        "input_digest": (None if source is None else hashlib.sha256(
+            dumps_canonical(source).encode("utf-8")).hexdigest()),
         "results": results,
         "tolerances": tols,
         "version": __version__,

@@ -184,19 +184,18 @@ def _normalized_overlap(a: np.ndarray, b: np.ndarray,
     return metric_inner_product(a, b, m) / math.sqrt(naa * nbb)
 
 
-def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport:
-    """Overlap of the pair in the standard and the metric inner products.
-
-    Both overlaps go through the same normalized formula, so the identity
-    metric reproduces the standard overlap bit for bit.
-    """
+def _check_metric(m: MetricOperator, dim: int) -> None:
+    """NotPositive unless m is a Hermitian positive-definite dim x dim matrix."""
     mat = as_matrix(m.matrix)
-    if mat.shape[0] != pair.psi1.size:
+    if mat.shape[0] != dim:
         raise ValueError("metric dimension does not match the pair's basis")
     eigs = linalg.hermitian_spectrum((mat + mat.conj().T) / 2.0)
     if (linalg.frob(mat - mat.conj().T)
             > linalg.HERM_TOL * max(linalg.frob(mat), 1e-300) or eigs[0] <= 0.0):
         raise NotPositive("candidate metric is not Hermitian positive-definite")
+
+
+def _overlaps(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport:
     identity = MetricOperator(np.eye(pair.psi1.size, dtype=complex), "analytic")
     std = _normalized_overlap(pair.psi1, pair.psi2, identity)
     met = _normalized_overlap(pair.psi1, pair.psi2, m)
@@ -205,6 +204,17 @@ def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport
         metric_overlap=met,
         distinguishability_gain=abs(std) ** 2 - abs(met) ** 2,
     )
+
+
+def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport:
+    """Overlap of the pair in the standard and the metric inner products.
+
+    The metric is checked first (Hermitian positive-definite, else
+    NotPositive).  Both overlaps go through the same normalized formula, so
+    the identity metric reproduces the standard overlap bit for bit.
+    """
+    _check_metric(m, pair.psi1.size)
+    return _overlaps(pair, m)
 
 
 @dataclass(frozen=True)
@@ -234,21 +244,24 @@ class ScanResult:
 def orthogonality_scan(thetas, eps: float, m: MetricOperator) -> ScanResult:
     """Metric overlap of the pair across a theta grid.
 
-    Zero crossings of the real part of the metric overlap (the overlap is
-    real for these real states and metrics) are refined by phase.bisect to
+    The metric is checked once, as discriminate checks it; every grid point
+    and bisection step then takes discriminate's overlaps.  Zero crossings
+    of the real part of the metric overlap (the overlap is real for these
+    real states and metrics) are refined by phase.bisect to
     1e-12 max(|a|, |b|, 1) of their grid cell [a, b].
     """
+    _check_metric(m, 4)  # the pair basis
     grid = [float(t) for t in thetas]
     rows = []
     for th in grid:
-        rep = discriminate(build_entangled_pair(th, eps), m)
+        rep = _overlaps(build_entangled_pair(th, eps), m)
         rows.append(ScanRow(theta=th,
                             standard_overlap=rep.standard_overlap,
                             metric_overlap=rep.metric_overlap,
                             distinguishability_gain=rep.distinguishability_gain))
 
     def f(th: float) -> float:
-        return discriminate(build_entangled_pair(th, eps), m).metric_overlap.real
+        return _overlaps(build_entangled_pair(th, eps), m).metric_overlap.real
 
     crossings = []
     for a_row, b_row in zip(rows, rows[1:]):

@@ -112,15 +112,6 @@ def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(m, b) -> np.ndarray:
-    """Solve m @ x = b for one right-hand side."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("solve needs a square matrix")
-    lu, piv = _lu_factor(a)
-    return _lu_solve(lu, piv, as_vector(b))
-
-
 def inverse(m) -> np.ndarray:
     """Matrix inverse via partial-pivot LU, all columns in one blocked solve."""
     a = as_matrix(m)

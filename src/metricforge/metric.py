@@ -36,19 +36,6 @@ class BiorthSystem:
     pairs: list[EigenPair]
     dim: int
 
-    def right_matrix(self) -> np.ndarray:
-        return np.column_stack([p.right for p in self.pairs])
-
-    def left_matrix(self) -> np.ndarray:
-        return np.column_stack([p.left for p in self.pairs])
-
-    def gram(self) -> np.ndarray:
-        return self.left_matrix().conj().T @ self.right_matrix()
-
-    def completeness_residual(self) -> float:
-        s = sum(np.outer(p.right, p.left.conj()) for p in self.pairs)
-        return frob(s - np.eye(self.dim))
-
 
 @dataclass(frozen=True)
 class ValidityReport:

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import linalg
 from .errors import InvalidParams
-from .linalg import EigenPair, adjoint
+from .linalg import EigenPair
 from .metric import DasConstruction, MetricOperator, check_pseudo_hermitian
 
 PHASE_UNBROKEN = "unbroken"
@@ -108,7 +107,6 @@ class ModelInstance:
     analytic_pairs: list[EigenPair] | None = None
     analytic_metric: MetricOperator | None = None
     das_data: DasConstruction | None = None
-    broken_states: list[np.ndarray] | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -293,20 +291,7 @@ def pt_matrix(p: PTParams) -> ModelInstance:
     if phase == PHASE_BROKEN:
         qt = math.sqrt(-disc)
         vals = [r * math.cos(th) - 1j * qt, r * math.cos(th) + 1j * qt]
-        broken = None
-        denom = (s_ + t_) * big_r + (s_ - t_) * qt
-        if denom > 0 and s_ * t_ >= 0:
-            # eigenstates in the broken phase, kept for coalescence tests
-            pref = 1.0 / math.sqrt(denom)
-            psi_e = -1j * pref * np.array([
-                1j * np.sqrt(complex(s_ * (big_r - qt))) * e2,
-                np.sqrt(complex(t_ * (big_r + qt))) * em])
-            psi_eb = 1j * pref * np.array([
-                np.sqrt(complex(s_ * (big_r + qt))) * e2,
-                -1j * np.sqrt(complex(t_ * (big_r - qt))) * em])
-            broken = [psi_e, psi_eb]
-        return ModelInstance("pt_matrix", params, h, sim, vals, phase, disc,
-                             broken_states=broken)
+        return ModelInstance("pt_matrix", params, h, sim, vals, phase, disc)
     if phase == PHASE_EXCEPTIONAL:
         val = complex(r * math.cos(th))
         return ModelInstance("pt_matrix", params, h, sim, [val, val], phase, disc)
@@ -444,6 +429,17 @@ def _check_param_names(family: str, names) -> None:
         if _ALIASES.get(key, key) not in known:
             raise InvalidParams(f"unknown parameter {key!r} for {family}; "
                                 f"known: {', '.join(sorted(known))}")
+
+
+def _check_fixed_params(family: str, params: dict, varied) -> None:
+    """Raise InvalidParams for an unknown family, for a name in params or
+    varied that is not one of its parameters, or for a value in params
+    that _parse_params refuses; values that the names in varied (aliases
+    allowed) override are checked only by name.  Builds no model."""
+    _check_param_names(family, [*params, *varied])
+    varied = {_ALIASES.get(k, k) for k in varied}
+    _parse_params(family, {k: v for k, v in params.items()
+                           if _ALIASES.get(k, k) not in varied})
 
 
 def _parse_params(family: str, params: dict):

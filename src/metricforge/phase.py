@@ -64,40 +64,48 @@ class PhaseDiagram:
         }
 
 
-def classify(h, *, real_tol: float = REAL_TOL,
-             defect_tol: float = DEFECT_TOL, params: dict | None = None) -> PhasePoint:
-    """Classify the spectral phase of a matrix.
+def label_spectrum(h, *, real_tol: float = REAL_TOL,
+                   defect_tol: float = DEFECT_TOL):
+    """The phase label of a matrix, from one eigendecompose.
 
-    unbroken: real spectrum and a complete biorthogonal system;
-    exceptional: a left/right pair is numerically orthogonal (this takes
-    precedence over broken, defectiveness being the stronger statement);
-    broken: complex-conjugate eigenvalues present.
+    Returns (label, max |Im E|, defect indicator, metric).  unbroken: real
+    spectrum and a complete biorthogonal system; exceptional: a left/right
+    pair is numerically orthogonal (this takes precedence over broken,
+    defectiveness being the stronger statement), judged first on the raw
+    pairs and then by biorthonormalize; broken: complex-conjugate
+    eigenvalues present.  The metric is the spectral metric of an
+    unbroken H (h_scale ||H||_F) and None otherwise.
     """
     hm = linalg.as_matrix(h)
     scale = max(linalg.frob(hm), 1e-300)
     pairs = linalg.eigendecompose(hm)
-    max_imag = max(abs(p.value.imag) for p in pairs)
-    defect = linalg.defect_indicator(pairs)
+    max_imag = float(max(abs(p.value.imag) for p in pairs))
+    defect = float(linalg.defect_indicator(pairs))
     if defect < defect_tol:
-        label = PHASE_EXCEPTIONAL
-    elif max_imag > real_tol * scale:
-        label = PHASE_BROKEN
-    else:
-        label = PHASE_UNBROKEN
-    metric_min = None
-    if label == PHASE_UNBROKEN:
-        try:
-            sysb = metric.biorthonormalize(pairs, defect_tol=defect_tol)
-            m = metric.spectral_metric(sysb, h_scale=scale, real_tol=real_tol)
-            metric_min = float(linalg.hermitian_spectrum(m.matrix)[0])
-        except DefectiveSystem:
-            label = PHASE_EXCEPTIONAL
+        return PHASE_EXCEPTIONAL, max_imag, defect, None
+    if max_imag > real_tol * scale:
+        return PHASE_BROKEN, max_imag, defect, None
+    try:
+        sysb = metric.biorthonormalize(pairs, defect_tol=defect_tol)
+    except DefectiveSystem:
+        return PHASE_EXCEPTIONAL, max_imag, defect, None
+    m = metric.spectral_metric(sysb, h_scale=scale, real_tol=real_tol)
+    return PHASE_UNBROKEN, max_imag, defect, m
+
+
+def classify(h, *, real_tol: float = REAL_TOL,
+             defect_tol: float = DEFECT_TOL, params: dict | None = None) -> PhasePoint:
+    """Classify the spectral phase of a matrix (label_spectrum), with the
+    minimum eigenvalue of the spectral metric at an unbroken point."""
+    label, max_imag, defect, m = label_spectrum(h, real_tol=real_tol,
+                                                defect_tol=defect_tol)
     return PhasePoint(
         params=dict(params or {}),
         classification=label,
-        min_imag_gap=float(max_imag),
-        defect_indicator=float(defect),
-        metric_min_eig=metric_min,
+        min_imag_gap=max_imag,
+        defect_indicator=defect,
+        metric_min_eig=(None if m is None
+                        else float(linalg.hermitian_spectrum(m.matrix)[0])),
     )
 
 

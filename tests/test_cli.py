@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricforge import cli, phase
+from metricforge import cli, linalg, metric, phase
 
 JC_ARGS = ["--model", "jc_doublet",
            "--params", "n=0,eps=0.5,omega=1,rho=0.125"]
@@ -271,7 +271,16 @@ def test_parse_errors_exit_4(capsys):
                  ["metric", *JC_ARGS, "--tol", "eig_tol=1"],
                  ["metric", "--model", "jc_doublet", "--params", "rho"],
                  ["metric", "--model", "jc_doublet", "--params", "foo=1"],
-                 ["metric", "--model", "jc_doublet", "--params", "n=1.7"]):
+                 ["metric", "--model", "jc_doublet", "--params", "n=1.7"],
+                 ["sweep", "--model", "nope", "--axis", "rho=0:0.5:3"],
+                 ["sweep", "--model", "jc_doublet", "--params", "foo=1",
+                  "--axis", "rho=0:0.5:3"],
+                 ["sweep", "--model", "jc_doublet", "--params", "omega=-1",
+                  "--axis", "rho=0:0.5:3"],
+                 ["ep", "--model", "nope", "--param", "rho", "--lo", "0",
+                  "--hi", "0.5"],
+                 ["ep", "--model", "jc_doublet", "--params", "foo=1",
+                  "--param", "rho", "--lo", "0", "--hi", "0.5"]):
         code, _, err = run(capsys, argv)
         assert code == 4, argv
         assert json.loads(err)["error"] == "InvalidParams"
@@ -354,7 +363,9 @@ def test_sweep_jc(capsys, tmp_path):
 
 def test_sweep_model_without_family_exit_4(capsys, tmp_path):
     path = tmp_path / "in.json"
-    for model in ({"params": {"rho": 0.1}}, 3):
+    # no family, no mapping, a base value that is no number
+    for model in ({"params": {"rho": 0.1}}, 3,
+                  {"family": "jc_doublet", "params": {"omega": "fast"}}):
         path.write_text(json.dumps({"model": model}))
         code, out, err = run(capsys, ["sweep", "--in", str(path),
                                       "--axis", "rho=0:0.5:3"])
@@ -382,6 +393,23 @@ def test_sweep_single_point(capsys, tmp_path):
     run_json(capsys, ["sweep", "--model", "jc_doublet", "--params", "rho=0.1",
                       "--axis", "rho=0.1:0.1:1", "--out", str(out_dir)])
     assert len((out_dir / "sweep.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # the base value of kx gives a singular similarity, but ep never uses it
+    ["ep", "--model", "dirac_scalar", "--params", "m0=0,kx=1,v0=1",
+     "--param", "kx", "--lo", "0.5", "--hi", "2"],
+    # s = t = -1 at the base point is refused by pt_matrix; the axis sets s > 0
+    ["sweep", "--model", "pt_matrix", "--params", "r=1,theta=0.5,s=-1,t=-1,phi=0",
+     "--axis", "s=0.5:1:3"],
+], ids=["ep", "sweep"])
+def test_overridden_base_value_is_not_built(capsys, argv):
+    doc = run_json(capsys, argv)
+    if argv[0] == "ep":
+        assert doc["results"]["value"] == pytest.approx(1.0, abs=1e-9)
+    else:
+        assert [p["classification"] for p in doc["results"]["diagram"]["points"]
+                ] == ["broken"] * 3
 
 
 def test_ep_subcommand(capsys):
@@ -463,6 +491,51 @@ def test_discriminate_scan(capsys, tmp_path):
 def test_discriminate_sin_theta_from_model(capsys):
     doc = run_json(capsys, ["discriminate", *JC_ARGS])
     assert abs(doc["results"]["sin_theta"] - 0.5) < 1e-12
+
+
+def _matrix_doc(path, n=8):
+    """An input document holding H = A diag(1..n) A^-1 (real spectrum)."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = a @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(a)
+    path.write_text(json.dumps(
+        {"matrix": {"h": [[[z.real, z.imag] for z in row] for row in h]}}))
+    return str(path)
+
+
+# kernel calls per command: evolve decomposes H once for the label and the
+# metric, as metric does, and once more in the propagator; a scan checks its
+# metric once, and compare validates neither metric
+@pytest.mark.parametrize("argv, counts", [
+    (["metric", "--in", None, "--method", "spectral"],
+     {"eigendecompose": 1, "inverse": 1, "hermitian_spectrum": 1,
+      "biorthonormalize": 1, "spectral_metric": 1, "validate_metric": 1}),
+    (["evolve", "--in", None],
+     {"eigendecompose": 2, "inverse": 2, "hermitian_spectrum": 0,
+      "biorthonormalize": 1, "spectral_metric": 1, "validate_metric": 0}),
+    (["evolve", *JC_ARGS],  # one more inverse: the model's self-check of S
+     {"eigendecompose": 2, "inverse": 3, "hermitian_spectrum": 0,
+      "biorthonormalize": 1, "spectral_metric": 1, "validate_metric": 0}),
+    (["discriminate", "--eps", "0.05", "--axis", "theta=0:1.5707963267948966:91"],
+     {"eigendecompose": 0, "inverse": 0, "hermitian_spectrum": 1,
+      "biorthonormalize": 0, "spectral_metric": 0, "validate_metric": 0}),
+    (["compare", *JC_ARGS],  # das: one inverse per sigma
+     {"eigendecompose": 0, "inverse": 3, "hermitian_spectrum": 0,
+      "biorthonormalize": 0, "spectral_metric": 1, "validate_metric": 0}),
+], ids=["metric-in-n8", "evolve-in-n8", "evolve-model", "discriminate-axis", "compare"])
+def test_kernel_calls_per_command(capsys, monkeypatch, tmp_path, argv, counts):
+    calls = dict.fromkeys(counts, 0)
+    for module, names in (
+            (linalg, ("eigendecompose", "inverse", "hermitian_spectrum")),
+            (metric, ("biorthonormalize", "spectral_metric", "validate_metric"))):
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    argv = [_matrix_doc(tmp_path / "h.json") if a is None else a for a in argv]
+    run_json(capsys, argv)
+    assert calls == counts
 
 
 # ---------------------------------------------------------------------------

@@ -143,20 +143,6 @@ def test_pt_das_proportional_to_spectral():
     assert cmp_.factor == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
-def test_pt_broken_states_are_eigenvectors():
-    inst = models.pt_matrix(models.PTParams(r=1.0, s=0.5, t=0.5,
-                                            theta=math.pi / 2, phi=0.3))
-    assert inst.phase == "broken"
-    assert inst.broken_states is not None
-    h = inst.hamiltonian
-    for psi in inst.broken_states:
-        hp = h @ psi
-        lam = complex(np.vdot(psi, hp) / np.vdot(psi, psi))
-        assert npl.norm(hp - lam * psi) < 1e-10
-        assert min(abs(lam - v) for v in inst.analytic_eigenvalues) < 1e-10
-        assert abs(npl.norm(psi) - 1.0) < 1e-10
-
-
 def test_pt_exceptional():
     inst = models.pt_matrix(models.PTParams(r=1.0, s=1.0, t=1.0,
                                             theta=math.pi / 2, phi=0.0))
