@@ -28,7 +28,6 @@ from .linalg import (
     eigendecompose,
     hermitian_spectrum,
     inverse,
-    mat_exp,
 )
 from .metric import (
     BiorthSystem,

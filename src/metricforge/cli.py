@@ -275,11 +275,10 @@ def _parse_axis(spec: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _spectral_from_input(res: ResolvedInput, tols: dict) -> metric.MetricOperator:
-    if res.instance is not None and res.instance.analytic_pairs is not None:
-        sysb = metric.BiorthSystem(pairs=res.instance.analytic_pairs,
-                                   dim=res.h.shape[0])
+    if res.instance is not None and res.instance.analytic_system is not None:
         return metric.spectral_metric(
-            sysb, h_scale=max(linalg.frob(res.h), 1e-300),
+            res.instance.analytic_system,
+            h_scale=max(linalg.frob(res.h), 1e-300),
             real_tol=tols["real_tol"], unit_lefts=False)
     if res.instance is not None and res.instance.phase == models.PHASE_BROKEN:
         raise BrokenPhase(

@@ -67,7 +67,9 @@ class EigenPair:
     """One eigenvalue with its right eigenvector and its left eigenvector
     (eigenvector of the adjoint for the conjugate eigenvalue).  Both are
     computed for this eigenvalue from the same Schur form of M, so they pair
-    by construction."""
+    by construction.  eigendecompose's element type, read only by
+    metric.biorthonormalize (which returns a metric.BiorthSystem of paired
+    columns), defect_indicator, exp_propagator and phase.label_spectrum."""
 
     value: complex
     right: np.ndarray
@@ -486,7 +488,7 @@ def exp_propagator(m):
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        raise ValueError("mat_exp needs a square matrix")
+        raise ValueError("exp_propagator needs a square matrix")
     n = a.shape[0]
     try:
         pairs = eigendecompose(a)
@@ -521,12 +523,3 @@ def exp_propagator(m):
         return result
     return taylor
 
-
-def mat_exp(m, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * M), by a one-off ``exp_propagator(M)``.
-
-    Diagonalization path when the eigenvector matrix is well conditioned;
-    otherwise scaling-and-squaring with a truncated Taylor series.  To
-    evaluate many scales of one M, build the propagator once instead.
-    """
-    return exp_propagator(m)(scale)

@@ -31,10 +31,13 @@ CMP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BiorthSystem:
-    """Paired right/left eigenvectors with <left_m|right_n> = delta_mn."""
+    """values[k] with its eigenvector columns right[:, k] and left[:, k];
+    left^H right = I from biorthonormalize, the model's own normalization
+    in a ModelInstance.analytic_system."""
 
-    pairs: list[EigenPair]
-    dim: int
+    values: np.ndarray  # (n,) complex
+    right: np.ndarray   # (n, n)
+    left: np.ndarray    # (n, n)
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,10 @@ class DasConstruction:
     projectors: list[np.ndarray]  # P_E, same order
 
     def check(self, biorth_tol: float = BIORTH_TOL) -> None:
+        """Raise ValueError unless there is one sigma_E per P_E, each P_E
+        is idempotent (||P_E^2 - P_E||_F <= biorth_tol max(||P_E||_F, 1))
+        and ||sum_E P_E - I||_F <= biorth_tol max(sum_E ||P_E||_F, n): near
+        an EP ||P_E|| and the rounding in the sum grow like 1/|<l_E|r_E>|."""
         if len(self.generators) != len(self.projectors):
             raise ValueError(f"{len(self.generators)} generators for "
                              f"{len(self.projectors)} projectors")
@@ -69,7 +76,8 @@ class DasConstruction:
             if frob(p @ p - p) > biorth_tol * max(frob(p), 1.0):
                 raise ValueError("projector is not idempotent")
             total += p
-        if frob(total - np.eye(n)) > biorth_tol * n:
+        bound = biorth_tol * max(sum(frob(p) for p in self.projectors), n)
+        if frob(total - np.eye(n)) > bound:
             raise ValueError("projectors do not resolve the identity")
 
 
@@ -85,7 +93,7 @@ def check_pseudo_hermitian(h, s) -> float:
 
 def biorthonormalize(raw: list[EigenPair], *,
                      defect_tol: float = linalg.DEFECT_TOL) -> BiorthSystem:
-    """Rescale an eigensystem to <left_m|right_n> = delta_mn.
+    """Rescale eigendecompose's pairs to <left_m|right_n> = delta_mn.
 
     The right vectors, normalized to unit standard norm, are the columns of
     R; the left vectors are the columns of (R^-1)^H, all from one LU of R.
@@ -116,35 +124,32 @@ def biorthonormalize(raw: list[EigenPair], *,
             "incomplete (exceptional point)",
             indicator=smin,
         )
-    return BiorthSystem(
-        pairs=[EigenPair(p.value, r[:, k], lefts[:, k])
-               for k, p in enumerate(pairs)],
-        dim=r.shape[0])
+    return BiorthSystem(np.array([p.value for p in pairs], dtype=complex),
+                        r, lefts)
 
 
 def spectral_metric(sys: BiorthSystem, *, h_scale: float | None = None,
                     real_tol: float = REAL_TOL,
                     unit_lefts: bool = True) -> MetricOperator:
-    """Metric as the sum of outer products of the left eigenvectors.
+    """Metric as the sum of outer products of the columns of sys.left.
 
     Any positive per-level rescaling of the terms yields an admissible
-    metric; with unit_lefts each left eigenvector is normalized to unit
-    standard norm, the convention that reproduces the reference matrices
-    for the bundled models.  Pass unit_lefts=False to keep the stored
-    normalization (used with analytically normalized model eigenvectors).
+    metric; with unit_lefts each left column is normalized to unit
+    standard norm.  Pass unit_lefts=False to keep the stored
+    normalization (a model's analytic_system, whose sum is the model's
+    closed-form metric).
 
     Refuses complex spectra: in the broken phase no positive metric exists.
     """
-    scale = h_scale if h_scale is not None else max(abs(p.value) for p in sys.pairs) or 1.0
-    for p in sys.pairs:
-        if abs(p.value.imag) > real_tol * scale:
+    scale = h_scale if h_scale is not None else max(abs(sys.values)) or 1.0
+    for value in sys.values:
+        if abs(value.imag) > real_tol * scale:
             raise BrokenPhase(
-                f"eigenvalue {p.value!r} has |Im| > {real_tol:.1e} * scale; "
+                f"eigenvalue {complex(value)!r} has |Im| > {real_tol:.1e} * scale; "
                 "spectrum not real (broken phase)"
             )
-    m = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for p in sys.pairs:
-        v = p.left
+    m = np.zeros(sys.left.shape, dtype=complex)
+    for v in sys.left.T:  # the columns, in order
         if unit_lefts:
             v = v / np.sqrt(np.sum(np.abs(v) ** 2))
         m += np.outer(v, v.conj())
@@ -157,9 +162,8 @@ def das_metric(construction: DasConstruction, *,
                biorth_tol: float = BIORTH_TOL) -> MetricOperator:
     """Assemble q = sum_E (sigma_E^dagger)^-1 q0 sigma_E^-1 P_E.
 
-    The construction is checked first (one generator per projector,
-    idempotent projectors resolving the identity to biorth_tol; ValueError
-    otherwise).  Each sigma_E is inverted once; (sigma_E^dagger)^-1 is the
+    The construction is checked first (DasConstruction.check; ValueError
+    if it fails).  Each sigma_E is inverted once; (sigma_E^dagger)^-1 is the
     adjoint of that inverse.  The raw assembly carries O(ulp) anti-Hermitian
     noise from the projector products; it is symmetrized when that part is
     below herm_tol, otherwise the construction data is inconsistent and

@@ -1,17 +1,18 @@
 """The three bundled pseudo-Hermitian model families.
 
 Each constructor returns a :class:`ModelInstance` carrying the Hamiltonian,
-a similarity operator S with S H = H^dagger S, closed-form eigenpairs, the
-closed-form metric, and the data for the projector-based metric assembly
+a similarity operator S with S H = H^dagger S, the closed-form eigensystem
+(a metric.BiorthSystem of paired right and left columns), the closed-form
+metric, and the data for the projector-based metric assembly
 (the "das" route).  The closed forms serve as oracles for the generic
 machinery.
 
 Normalization conventions:
 
-* analytic left eigenvectors are stored with the normalization that makes
-  the spectral sum reproduce the stored closed-form metric (unit norm for
-  the spin-oscillator doublet and the 2x2 PT matrix, relativistic spinor
-  normalization for the Dirac model);
+* the left columns of analytic_system are stored with the normalization
+  that makes the spectral sum reproduce the stored closed-form metric
+  (unit norm for the spin-oscillator doublet and the 2x2 PT matrix,
+  relativistic spinor normalization for the Dirac model);
 * the Dirac similarity operator is [[1, v0/m0c^2], [v0/m0c^2, 1]]; note
   that the antisymmetric candidate [[0, -1], [1, 0]] anti-intertwines
   (S H = -H^dagger S) and is not a valid similarity;
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import EigenPair
-from .metric import DasConstruction, MetricOperator, check_pseudo_hermitian
+from .metric import (BiorthSystem, DasConstruction, MetricOperator,
+                     check_pseudo_hermitian)
 
 PHASE_UNBROKEN = "unbroken"
 PHASE_BROKEN = "broken"
@@ -104,7 +105,7 @@ class ModelInstance:
     analytic_eigenvalues: list
     phase: str
     discriminant: float
-    analytic_pairs: list[EigenPair] | None = None
+    analytic_system: BiorthSystem | None = None
     analytic_metric: MetricOperator | None = None
     das_data: DasConstruction | None = None
     extras: dict = field(default_factory=dict)
@@ -123,30 +124,30 @@ def _classify_disc(disc: float, scale: float) -> str:
     return PHASE_UNBROKEN if disc > 0 else PHASE_BROKEN
 
 
-def _duals(pairs: list[EigenPair]) -> list[np.ndarray]:
-    """Biorthogonal duals: <dual_n|psi_n> = 1, built from the stored lefts."""
-    out = []
-    for p in pairs:
-        ov = complex(p.left.conj() @ p.right)
-        out.append(p.left / np.conj(ov))
-    return out
+def _duals(sys: BiorthSystem) -> np.ndarray:
+    """Biorthogonal duals as columns, <dual_k|right_k> = 1, built from the
+    stored lefts."""
+    ov = [complex(sys.left[:, k].conj() @ sys.right[:, k])
+          for k in range(sys.left.shape[1])]
+    return sys.left / np.conj(ov)
 
 
-def _das_2x2(pairs: list[EigenPair], q0: np.ndarray, ref: int) -> DasConstruction:
-    """Projector-route data for a 2x2 system with reference state pairs[ref].
+def _das_2x2(sys: BiorthSystem, q0: np.ndarray, ref: int) -> DasConstruction:
+    """Projector-route data for a 2x2 system with reference column ref.
 
-    The projectors are |psi_E><dual_E| in the order of pairs.  sigma for the
-    reference energy is the identity; the other generator is the
+    The projectors are |psi_E><dual_E| in the order of the columns.  sigma
+    for the reference energy is the identity; the other generator is the
     biorthogonal swap |psi_other><dual_ref| + |psi_ref><dual_other| (the
     generalization of the spin-flip used by the doublet model).
     """
-    duals = _duals(pairs)
+    duals = _duals(sys)
+    psi = sys.right
     other = 1 - ref
-    projectors = [np.outer(p.right, d.conj()) for p, d in zip(pairs, duals)]
+    projectors = [np.outer(psi[:, k], duals[:, k].conj()) for k in range(2)]
     generators = [None, None]
     generators[ref] = np.eye(2, dtype=complex)
-    generators[other] = (np.outer(pairs[other].right, duals[ref].conj())
-                         + np.outer(pairs[ref].right, duals[other].conj()))
+    generators[other] = (np.outer(psi[:, other], duals[:, ref].conj())
+                         + np.outer(psi[:, ref], duals[:, other].conj()))
     return DasConstruction(q0, generators, projectors)
 
 
@@ -179,17 +180,16 @@ def jc_doublet(p: JCParams) -> ModelInstance:
     st = 2.0 * b / (hw - p.epsilon)  # sin(theta_{n+1})
     th = math.asin(st)
     cs, sn = math.cos(th / 2.0), math.sin(th / 2.0)
-    psi_p = np.array([sn, cs], dtype=complex)
-    psi_m = np.array([cs, sn], dtype=complex)
-    phi_p = np.array([sn, -cs], dtype=complex)
-    phi_m = np.array([cs, -sn], dtype=complex)
-    pairs = [EigenPair(lam_m, psi_m, phi_m), EigenPair(lam_p, psi_p, phi_p)]
+    # right columns psi_-, psi_+ and left columns phi_-, phi_+
+    system = BiorthSystem(np.array([lam_m, lam_p], dtype=complex),
+                          np.array([[cs, sn], [sn, cs]], dtype=complex),
+                          np.array([[cs, sn], [-sn, -cs]], dtype=complex))
     eta = np.array([[1.0, -st], [-st, 1.0]], dtype=complex)
     q0 = math.cos(th) * s
-    das = _das_2x2(pairs, q0, ref=0)
+    das = _das_2x2(system, q0, ref=0)
     return ModelInstance(
         "jc_doublet", params, h, s, [lam_m, lam_p], phase, disc,
-        analytic_pairs=pairs,
+        analytic_system=system,
         analytic_metric=MetricOperator(eta, "analytic"),
         das_data=das,
         extras={"sin_theta": st},
@@ -232,11 +232,6 @@ def jc_full(p: JCParams, levels: int) -> ModelInstance:
     if worst != PHASE_UNBROKEN:
         return ModelInstance("jc_full", params, h, s, vals, worst, disc)
 
-    def embed_vec(block_vec, n):
-        v = np.zeros(dim, dtype=complex)
-        v[1 + 2 * n:3 + 2 * n] = block_vec
-        return v
-
     def embed_mat(block_mat, n, background):
         m = background.astype(complex, copy=True)
         m[1 + 2 * n:3 + 2 * n, 1 + 2 * n:3 + 2 * n] = block_mat
@@ -244,28 +239,28 @@ def jc_full(p: JCParams, levels: int) -> ModelInstance:
 
     eye = np.eye(dim, dtype=complex)
     zero = np.zeros((dim, dim), dtype=complex)
-    ground = np.zeros(dim, dtype=complex)
-    ground[0] = 1.0
-    pairs = [EigenPair(complex(-p.epsilon / 2.0), ground, ground.copy())]
-    metric = np.zeros((dim, dim), dtype=complex)
-    metric[0, 0] = 1.0  # phase freedom fixes the ground entry to +1
-    q0 = np.zeros((dim, dim), dtype=complex)
-    q0[0, 0] = 1.0
+    # column 0 is the ground state; each doublet's 2x2 block of columns
+    # sits on the diagonal at its basis indices
+    right = zero.copy()
+    right[0, 0] = 1.0
+    left = right.copy()
+    metric = right.copy()  # phase freedom fixes the ground entry to +1
+    q0 = right.copy()
     generators = [eye.copy()]
-    projectors = [np.outer(ground, ground.conj())]
+    projectors = [np.outer(right[:, 0], left[:, 0].conj())]
     for n, inst in enumerate(blocks):
-        for pair in inst.analytic_pairs:
-            pairs.append(EigenPair(pair.value, embed_vec(pair.right, n),
-                                   embed_vec(pair.left, n)))
-        metric[1 + 2 * n:3 + 2 * n, 1 + 2 * n:3 + 2 * n] = inst.analytic_metric.matrix
-        q0[1 + 2 * n:3 + 2 * n, 1 + 2 * n:3 + 2 * n] = inst.das_data.reference_metric_q0
+        blk = slice(1 + 2 * n, 3 + 2 * n)
+        right[blk, blk] = inst.analytic_system.right
+        left[blk, blk] = inst.analytic_system.left
+        metric[blk, blk] = inst.analytic_metric.matrix
+        q0[blk, blk] = inst.das_data.reference_metric_q0
         for sigma, proj in zip(inst.das_data.generators, inst.das_data.projectors):
             generators.append(embed_mat(sigma, n, eye))
             projectors.append(embed_mat(proj, n, zero))
     das = DasConstruction(q0, generators, projectors)
     return ModelInstance(
         "jc_full", params, h, s, vals, worst, disc,
-        analytic_pairs=pairs,
+        analytic_system=BiorthSystem(np.array(vals, dtype=complex), right, left),
         analytic_metric=MetricOperator(metric, "analytic"),
         das_data=das,
         extras={"sin_thetas": [b.extras["sin_theta"] for b in blocks]},
@@ -307,21 +302,23 @@ def pt_matrix(p: PTParams) -> ModelInstance:
     ts4 = (t_ / s_) ** 0.25
     rp = np.sqrt(complex(q + 1j * big_r))
     rm = np.sqrt(complex(q - 1j * big_r))
-    psi_p = pref * np.array([st4 * rp * e2, ts4 * rm * em])
-    psi_m = 1j * pref * np.array([st4 * rm * e2, -ts4 * rp * em])
-    # adjoint-Hamiltonian eigenvectors: same formulas under theta -> -theta,
-    # s <-> t (the s/t-inverted variant is not an eigenvector of H^dagger)
-    phi_p = pref * np.array([ts4 * rm * e2, st4 * rp * em])
-    phi_m = 1j * pref * np.array([ts4 * rp * e2, -st4 * rm * em])
-    pairs = [EigenPair(e_m, psi_m, phi_m), EigenPair(e_p, psi_p, phi_p)]
+    # columns E_-, E_+; the left (adjoint-Hamiltonian) eigenvectors are the
+    # same formulas under theta -> -theta, s <-> t (the s/t-inverted
+    # variant is not an eigenvector of H^dagger)
+    prefactor = np.array([1j * pref, pref])  # per column
+    right = prefactor * np.array([[st4 * rm * e2, st4 * rp * e2],
+                                  [-ts4 * rp * em, ts4 * rm * em]])
+    left = prefactor * np.array([[ts4 * rp * e2, ts4 * rm * e2],
+                                 [-st4 * rm * em, st4 * rp * em]])
+    system = BiorthSystem(np.array([e_m, e_p], dtype=complex), right, left)
     eta = (2.0 / (s_ + t_)) * np.array(
         [[t_, -1j * big_r * np.exp(1j * ph)],
          [1j * big_r * np.exp(-1j * ph), s_]])
     q0 = -((s_ + t_) / (2.0 * q)) * sim
-    das = _das_2x2(pairs, q0, ref=0)
+    das = _das_2x2(system, q0, ref=0)
     return ModelInstance(
         "pt_matrix", params, h, sim, [e_m, e_p], phase, disc,
-        analytic_pairs=pairs,
+        analytic_system=system,
         analytic_metric=MetricOperator(eta, "analytic"),
         das_data=das,
         extras={"q_factor": q},
@@ -379,11 +376,12 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
     e = math.sqrt(disc)
     big_m = e + mc2
     norm = math.sqrt(big_m / (2.0 * e))
-    psi_1 = norm * np.array([1.0, (cp - v0) / big_m], dtype=complex)
-    psi_2 = norm * np.array([-(cp + v0) / big_m, 1.0], dtype=complex)
-    phi_1 = norm * np.array([1.0, (cp + v0) / big_m], dtype=complex)
-    phi_2 = norm * np.array([-(cp - v0) / big_m, 1.0], dtype=complex)
-    pairs = [EigenPair(-e + 0j, psi_2, phi_2), EigenPair(e + 0j, psi_1, phi_1)]
+    # columns: the E = -e spinor, then E = +e
+    right = norm * np.array([[-(cp + v0) / big_m, 1.0],
+                             [1.0, (cp - v0) / big_m]], dtype=complex)
+    left = norm * np.array([[-(cp - v0) / big_m, 1.0],
+                            [1.0, (cp + v0) / big_m]], dtype=complex)
+    system = BiorthSystem(np.array([-e, e], dtype=complex), right, left)
     eta = (big_m / (2.0 * e)) * np.array(
         [[1.0 + (cp - v0) ** 2 / big_m ** 2, 2.0 * v0 / big_m],
          [2.0 * v0 / big_m, 1.0 + (cp + v0) ** 2 / big_m ** 2]], dtype=complex)
@@ -394,10 +392,10 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
         # grows like 1/|cp + v0|: the metric itself is a valid q0 (it maps
         # the reference spinor to its adjoint partner)
         q0 = eta
-    das = _das_2x2(pairs, q0, ref=0)
+    das = _das_2x2(system, q0, ref=0)
     return ModelInstance(
         "dirac_scalar", params, h, sim, [-e + 0j, e + 0j], phase, disc,
-        analytic_pairs=pairs,
+        analytic_system=system,
         analytic_metric=MetricOperator(eta, "analytic"),
         das_data=das,
         extras={"energy": e},

@@ -25,9 +25,8 @@ def _generic_spectral(h):
 
 def _model_spectral(inst):
     # spectral sum over the model's closed-form normalized eigenvectors
-    sysb = metric.BiorthSystem(pairs=inst.analytic_pairs,
-                               dim=inst.hamiltonian.shape[0])
-    return metric.spectral_metric(sysb, h_scale=linalg.frob(inst.hamiltonian),
+    return metric.spectral_metric(inst.analytic_system,
+                                  h_scale=linalg.frob(inst.hamiltonian),
                                   unit_lefts=False)
 
 

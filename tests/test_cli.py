@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricforge import cli, linalg, metric, phase
+from metricforge import cli, linalg, metric, models, phase
 
 JC_ARGS = ["--model", "jc_doublet",
            "--params", "n=0,eps=0.5,omega=1,rho=0.125"]
@@ -240,6 +240,48 @@ def test_biorth_tol_governs_das_check(capsys, tmp_path):
     assert out["tolerances"]["biorth_tol"] == 1e-6
     m = as_matrix(out["results"]["metrics"]["das"]["matrix"])
     assert np.allclose(m, np.eye(2), atol=1e-7)
+
+
+def test_das_block_not_resolving_identity_exit_4(capsys, tmp_path):
+    # two copies of diag(1, 0): each idempotent, their sum diag(2, 0)
+    doc = _das_doc(0.0)
+    doc["matrix"]["das"]["projectors"] = [[[1, 0], [0, 0]]] * 2
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["metric", "--in", str(path), "--method", "das"])
+    assert code == 4 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    assert "do not resolve the identity" in body["message"]
+
+
+# The unbroken side of each 2x2 family's EP at 41 log-spaced relative
+# distances delta in [1e-12, 1e-2]: (params at delta, how many of the 41
+# points the model calls unbroken, the das-to-spectral verdict).  Near the
+# EP the projectors grow like 1/delta^(1/2), and so does the rounding in
+# their sum.
+NEAR_EP = {
+    "jc_doublet": (lambda d: {"n": 0, "epsilon": 0.5, "omega": 1.0,
+                              "rho": 0.25 * (1.0 - d)}, 39, "equal"),
+    "dirac_scalar": (lambda d: {"m0": 1.0, "kx": 0.0, "v0": 1.0 - d},
+                     41, "equal"),
+    "pt_matrix": (lambda d: {"r": 1.0, "theta": 0.5, "t": 1.0, "phi": 0.0,
+                             "s": math.sin(0.5) ** 2 * (1.0 + d)},
+                  38, "proportional"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NEAR_EP))
+def test_compare_near_exceptional_point(capsys, family):
+    params_at, count, verdict = NEAR_EP[family]
+    points = [params_at(float(d)) for d in np.logspace(-12, -2, 41)]
+    points = [p for p in points
+              if models.build(family, p).phase == models.PHASE_UNBROKEN]
+    assert len(points) == count
+    for p in points:
+        params = ",".join(f"{k}={v!r}" for k, v in p.items())
+        doc = run_json(capsys, ["compare", "--model", family, "--params", params])
+        assert doc["results"]["comparison"]["verdict"] == verdict
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_evolve_states_equal_pointwise_mat_exp(h):
     psi0 = np.linspace(1.0, 2.0, h.shape[0]) * np.exp(0.3j * np.arange(h.shape[0]))
     rec = dynamics.evolve(h, psi0, TIMES, hbar=hbar)
     for t, state in zip(TIMES, rec.states):
-        assert np.array_equal(state, linalg.mat_exp(h, scale=-1j * t / hbar) @ psi0)
+        assert np.array_equal(state, linalg.exp_propagator(h)(-1j * t / hbar) @ psi0)
 
 
 def test_jordan_block_evolution_matches_expm():

@@ -106,8 +106,7 @@ def test_left_vectors_match_numpy_inverse(n):
     for p in pairs:
         assert npl.norm(a.conj().T @ p.left - np.conj(p.value) * p.left) < 1e-10 * scale
     sysb = metric.biorthonormalize(pairs)
-    r = np.column_stack([p.right for p in sysb.pairs])
-    left = np.column_stack([p.left for p in sysb.pairs])
+    r, left = sysb.right, sysb.left
     assert linalg.frob(left.conj().T @ r - np.eye(n)) < 1e-10 * n
     ref = npl.inv(r)  # its rows are the biorthonormal left vectors
     assert npl.norm(left.conj().T - ref) <= 1e-12 * npl.cond(r) * npl.norm(ref)
@@ -125,8 +124,7 @@ def test_eigendecompose_matches_numpy_n128():
         assert npl.norm(a @ p.right - p.value * p.right) < 1e-13 * scale
         assert npl.norm(a.conj().T @ p.left - np.conj(p.value) * p.left) < 1e-13 * scale
     sysb = metric.biorthonormalize(pairs)
-    r = np.column_stack([p.right for p in sysb.pairs])
-    left = np.column_stack([p.left for p in sysb.pairs])
+    r, left = sysb.right, sysb.left
     inv_r = npl.inv(r)  # its rows are the biorthonormal left vectors
     assert npl.norm(left.conj().T - inv_r) <= 1e-12 * npl.cond(r) * npl.norm(inv_r)
 
@@ -153,7 +151,8 @@ def test_qr_failure_raises(monkeypatch):
         with pytest.raises(NoConvergence):
             linalg.eigendecompose(a)
         # exp_propagator takes the Taylor path instead of a wrong eigenbasis
-        assert np.allclose(linalg.mat_exp(a), scipy.linalg.expm(a), atol=1e-10)
+        assert np.allclose(linalg.exp_propagator(a)(1.0), scipy.linalg.expm(a),
+                           atol=1e-10)
 
 
 def test_degenerate_spectrum():
@@ -176,8 +175,7 @@ def test_repeated_eigenvalues_non_normal():
         r = np.column_stack([p.right for p in pairs])
         assert npl.cond(r) < 10.0 * npl.cond(a)
         sysb = metric.biorthonormalize(pairs)
-        gram = (np.column_stack([p.left for p in sysb.pairs]).conj().T
-                @ np.column_stack([p.right for p in sysb.pairs]))
+        gram = sysb.left.conj().T @ sysb.right
         assert linalg.frob(gram - np.eye(5)) < 1e-10
 
 
@@ -276,17 +274,18 @@ def test_gram_matrix_psd(m):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
 def test_mat_exp_matches_scipy(n):
     a = random_complex(n)
-    assert np.allclose(linalg.mat_exp(a), scipy.linalg.expm(a), atol=1e-10)
+    assert np.allclose(linalg.exp_propagator(a)(1.0), scipy.linalg.expm(a),
+                       atol=1e-10)
 
 
 def test_mat_exp_nilpotent_exact():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    assert np.allclose(linalg.mat_exp(a), np.eye(2) + a, atol=1e-15)
+    assert np.allclose(linalg.exp_propagator(a)(1.0), np.eye(2) + a, atol=1e-15)
 
 
 def test_mat_exp_scale_argument():
     a = random_complex(3)
-    assert np.allclose(linalg.mat_exp(a, scale=-2j),
+    assert np.allclose(linalg.exp_propagator(a)(-2j),
                        scipy.linalg.expm(-2j * a), atol=1e-10)
 
 
@@ -294,7 +293,7 @@ def test_mat_exp_scale_argument():
 @given(complex_2x2(), st.floats(min_value=0.0, max_value=5.0))
 def test_exp_of_hermitian_is_unitary(m, t):
     h = (m + m.conj().T) / 2.0
-    u = linalg.mat_exp(h, scale=-1j * t)
+    u = linalg.exp_propagator(h)(-1j * t)
     assert linalg.frob(u.conj().T @ u - np.eye(2)) < 1e-9 * max(linalg.frob(h) * t, 1.0)
 
 

@@ -21,10 +21,12 @@ def assert_instance_consistent(inst, atol=1e-9):
     ref = sorted(npl.eigvals(h), key=lambda z: (z.real, z.imag))
     mine = sorted(inst.analytic_eigenvalues, key=lambda z: (complex(z).real, complex(z).imag))
     assert all(abs(a - b) < atol * scale for a, b in zip(mine, ref))
-    if inst.analytic_pairs is not None:
-        for p in inst.analytic_pairs:
-            assert npl.norm(h @ p.right - p.value * p.right) < atol * scale
-            assert npl.norm(h.conj().T @ p.left - np.conj(p.value) * p.left) < atol * scale
+    if inst.analytic_system is not None:
+        sysa = inst.analytic_system
+        for k, value in enumerate(sysa.values):
+            right, left = sysa.right[:, k], sysa.left[:, k]
+            assert npl.norm(h @ right - value * right) < atol * scale
+            assert npl.norm(h.conj().T @ left - np.conj(value) * left) < atol * scale
     if inst.analytic_metric is not None:
         rep = metric.validate_metric(h, inst.analytic_metric)
         assert rep.hermitian_residual < 1e-12
