@@ -81,7 +81,8 @@ _POINTS = {
 
 
 def _near_ep_params(family: str, delta: float) -> str:
-    """The unbroken side of each 2x2 family's EP at relative distance delta."""
+    """Each 2x2 family at relative distance delta from its EP, on the
+    unbroken side for delta > 0 and the broken side for delta < 0."""
     if family == "jc_doublet":
         return f"n=0,eps=0.5,omega=1,rho={0.25 * (1.0 - delta)!r}"
     if family == "dirac_scalar":
@@ -153,6 +154,19 @@ def _commands() -> list:
             cmds.append((f"near-ep-{family}-{k}",
                          ["compare", "--model", family, "--params",
                           _near_ep_params(family, delta)]))
+    # inside each family's exceptional band, on both sides of the EP: the
+    # model's discriminant judges every route
+    for family in ("jc_doublet", "dirac_scalar", "pt_matrix"):
+        for side, delta in (("unbroken-side", 1e-13), ("broken-side", -1e-13)):
+            model = ["--model", family, "--params",
+                     _near_ep_params(family, delta)]
+            tag = f"{family}-{side}"
+            cmds += [
+                (f"in-band-spectral-{tag}",
+                 ["metric", *model, "--method", "spectral"]),
+                (f"in-band-das-{tag}", ["metric", *model, "--method", "das"]),
+                (f"in-band-evolve-{tag}", ["evolve", *model, "--steps", "21"]),
+            ]
     return cmds
 
 

@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__, dynamics, linalg, metric, models, phase
-from .errors import BrokenPhase, InvalidParams, MetricForgeError
+from .errors import (BrokenPhase, DefectiveSystem, InvalidParams,
+                     MetricForgeError)
 
 DEFAULT_TOLS = {
     "herm_tol": linalg.HERM_TOL,
@@ -274,29 +275,34 @@ def _parse_axis(spec: str) -> tuple:
 # Construction helpers
 # ---------------------------------------------------------------------------
 
-def _spectral_from_input(res: ResolvedInput, tols: dict) -> metric.MetricOperator:
-    if res.instance is not None and res.instance.analytic_system is not None:
-        return metric.spectral_metric(
-            res.instance.analytic_system,
-            h_scale=max(linalg.frob(res.h), 1e-300),
-            real_tol=tols["real_tol"], unit_lefts=False)
-    if res.instance is not None and res.instance.phase == models.PHASE_BROKEN:
-        raise BrokenPhase(
-            f"model is in the broken phase (discriminant "
-            f"{res.instance.discriminant:.6g} < 0); no positive metric exists")
-    sysb = metric.biorthonormalize(linalg.eigendecompose(res.h),
-                                   defect_tol=tols["defect_tol"])
-    return metric.spectral_metric(
-        sysb, h_scale=max(linalg.frob(res.h), 1e-300),
-        real_tol=tols["real_tol"])
+def _judge(res: ResolvedInput, tols: dict) -> tuple:
+    """(phase label, its grounds, spectral metric or None) of an input: the
+    one phase judge of metric, validate, compare and evolve.  A model is
+    judged by its exact discriminant (ModelInstance.phase, as in model show
+    and ep) and served by its closed forms alone, so no metric comes with
+    it; a matrix by phase.label_spectrum, with its metric when unbroken."""
+    if res.instance is not None:
+        return (res.instance.phase,
+                f"discriminant {res.instance.discriminant:.6g}", None)
+    label, max_imag, defect, m = phase.label_spectrum(
+        res.h, real_tol=tols["real_tol"], defect_tol=tols["defect_tol"])
+    return label, f"max |Im E| {max_imag:.3e}, self-overlap {defect:.3e}", m
+
+
+def _refuse(label: str, grounds: str, hint: str = "") -> None:
+    """The refusal of every route for an input without a positive metric:
+    DefectiveSystem (exit 3) at an exceptional point, BrokenPhase (exit 2)
+    in the broken phase.  Returns for an unbroken label."""
+    if label == models.PHASE_EXCEPTIONAL:
+        raise DefectiveSystem(f"exceptional point ({grounds}): eigensystem "
+                              f"incomplete, no positive metric exists{hint}")
+    if label == models.PHASE_BROKEN:
+        raise BrokenPhase(f"broken phase ({grounds}): spectrum not real, "
+                          f"no positive metric exists{hint}")
 
 
 def _das_from_input(res: ResolvedInput, tols: dict) -> metric.MetricOperator:
     if res.das is None:
-        if res.instance is not None:
-            raise BrokenPhase(
-                "model has no projector construction here (phase "
-                f"{res.instance.phase!r})")
         raise InvalidParams(
             "the das method needs a model input or an explicit 'das' block")
     try:
@@ -323,8 +329,13 @@ def _metric_entry(res: ResolvedInput, m: metric.MetricOperator,
 
 def _build_metrics(res: ResolvedInput, method: str, tols: dict) -> dict:
     built = {}
-    if method in ("spectral", "both"):
-        built["spectral"] = _spectral_from_input(res, tols)
+    if res.instance is not None or method != "das":  # a matrix's das: unjudged
+        label, grounds, spectral = _judge(res, tols)
+        _refuse(label, grounds)
+    if method in ("spectral", "both"):  # a model's is its closed-form sum
+        built["spectral"] = spectral or metric.spectral_metric(
+            res.instance.analytic_system, unit_lefts=False,
+            h_scale=max(linalg.frob(res.h), 1e-300), real_tol=tols["real_tol"])
     if method in ("das", "both"):
         built["das"] = _das_from_input(res, tols)
     return built
@@ -424,17 +435,13 @@ def cmd_evolve(args, tols):
     res = ResolvedInput(_load_input(args), tols["herm_tol"])
     if args.steps < 2:
         raise InvalidParams("--steps must be >= 2")
-    label, _, _, m = phase.label_spectrum(res.h, real_tol=tols["real_tol"],
-                                          defect_tol=tols["defect_tol"])
+    label, grounds, m = _judge(res, tols)
     broken = label != models.PHASE_UNBROKEN
-    if broken and not args.allow_broken:
-        raise BrokenPhase(
-            f"spectrum is {label}; metric-norm evolution "
-            "needs the unbroken phase (pass --allow-broken to force)")
+    if not args.allow_broken:
+        _refuse(label, grounds, "; pass --allow-broken to evolve anyway")
     dim = res.h.shape[0]
     psi0 = (_parse_psi0(args.psi0, dim) if args.psi0 else _default_psi0(dim))
-    if (m is not None and res.instance is not None
-            and res.instance.analytic_metric is not None):
+    if res.instance is not None:  # its closed form, None unless unbroken
         m = res.instance.analytic_metric
     times = np.linspace(0.0, args.tmax, args.steps)
     rec = dynamics.evolve(res.h, psi0, times, metric=m, hbar=args.hbar)

@@ -21,24 +21,16 @@ class NoConvergence(MetricForgeError):
     """The QR iteration did not converge within the sweep budget."""
 
 
-class DefectiveMatrix(MetricForgeError):
-    """A left/right eigenvector pair is (numerically) orthogonal: the base
-    class of DefectiveSystem, which metric.biorthonormalize raises.
-
-    Carries the offending overlap in ``indicator``.
-    """
+class DefectiveSystem(MetricForgeError):
+    """An incomplete eigensystem (an exceptional point), from
+    metric.biorthonormalize, which puts the smallest left/right overlap
+    in ``indicator``, or from the CLI's phase judge."""
 
     exit_code = 3
 
     def __init__(self, message, indicator=None):
         super().__init__(message)
         self.indicator = indicator
-
-
-class DefectiveSystem(DefectiveMatrix):
-    """Biorthonormalization failed: the eigensystem is incomplete."""
-
-    exit_code = 3
 
 
 class NotHermitian(MetricForgeError):

@@ -66,7 +66,9 @@ class PhaseDiagram:
 
 def label_spectrum(h, *, real_tol: float = REAL_TOL,
                    defect_tol: float = DEFECT_TOL):
-    """The phase label of a matrix, from one eigendecompose.
+    """The phase label of a matrix, from one eigendecompose: the judge of a
+    CLI matrix input and of each sweep point (a CLI model input is judged
+    by its exact discriminant, which can differ inside models._EP_BAND).
 
     Returns (label, max |Im E|, defect indicator, metric).  unbroken: real
     spectrum and a complete biorthogonal system; exceptional: a left/right

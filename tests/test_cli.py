@@ -288,6 +288,28 @@ def test_compare_near_exceptional_point(capsys, family):
 # exit codes and error bodies
 # ---------------------------------------------------------------------------
 
+_EXIT_OF_PHASE = {"unbroken": 0, "exceptional": 3, "broken": 2}
+
+
+@pytest.mark.parametrize("family", sorted(NEAR_EP))
+def test_one_label_per_model_point(capsys, family):
+    # a delta grid that straddles the exact discriminant's exceptional band
+    # (dirac_scalar's is narrower, so only |delta| <= 1e-13 falls inside):
+    # every route exits as model show's phase says
+    params_at = NEAR_EP[family][0]
+    for delta in (1e-10, 1e-11, 3e-12, 1e-12, 1e-13, 0.0,
+                  -1e-13, -1e-12, -3e-12, -1e-11, -1e-10):
+        params = ",".join(f"{k}={v!r}" for k, v in params_at(delta).items())
+        model = ["--model", family, "--params", params]
+        label = run_json(capsys, ["model", "show", *model])["results"]["phase"]
+        codes = [run(capsys, argv)[0] for argv in (
+            ["metric", *model, "--method", "spectral"],
+            ["metric", *model, "--method", "das"],
+            ["compare", *model],
+            ["evolve", *model, "--steps", "3"])]
+        assert codes == [_EXIT_OF_PHASE[label]] * 4, (delta, label)
+
+
 def test_broken_phase_exit_2(capsys):
     code, out, err = run(capsys, ["metric", "--model", "jc_doublet",
                                   "--params", "rho=0.3", "--method", "spectral"])
@@ -545,9 +567,10 @@ def _matrix_doc(path, n=8):
     return str(path)
 
 
-# kernel calls per command: evolve decomposes H once for the label and the
-# metric, as metric does, and once more in the propagator; a scan checks its
-# metric once, and compare validates neither metric
+# kernel calls per command: evolve decomposes a matrix input once for the
+# label and the metric, as metric does, and once more in the propagator; a
+# model input is judged by its discriminant and never decomposed for its
+# metric; a scan checks its metric once, and compare validates neither metric
 @pytest.mark.parametrize("argv, counts", [
     (["metric", "--in", None, "--method", "spectral"],
      {"eigendecompose": 1, "inverse": 1, "hermitian_spectrum": 1,
@@ -555,16 +578,21 @@ def _matrix_doc(path, n=8):
     (["evolve", "--in", None],
      {"eigendecompose": 2, "inverse": 2, "hermitian_spectrum": 0,
       "biorthonormalize": 1, "spectral_metric": 1, "validate_metric": 0}),
-    (["evolve", *JC_ARGS],  # one more inverse: the model's self-check of S
-     {"eigendecompose": 2, "inverse": 3, "hermitian_spectrum": 0,
-      "biorthonormalize": 1, "spectral_metric": 1, "validate_metric": 0}),
+    (["evolve", *JC_ARGS],  # judged by its discriminant; the model's
+     # self-check of S makes one inverse, the propagator the other
+     {"eigendecompose": 1, "inverse": 2, "hermitian_spectrum": 0,
+      "biorthonormalize": 0, "spectral_metric": 0, "validate_metric": 0}),
+    (["metric", *JC_ARGS, "--method", "both"],  # closed forms only
+     {"eigendecompose": 0, "inverse": 3, "hermitian_spectrum": 2,
+      "biorthonormalize": 0, "spectral_metric": 1, "validate_metric": 2}),
     (["discriminate", "--eps", "0.05", "--axis", "theta=0:1.5707963267948966:91"],
      {"eigendecompose": 0, "inverse": 0, "hermitian_spectrum": 1,
       "biorthonormalize": 0, "spectral_metric": 0, "validate_metric": 0}),
     (["compare", *JC_ARGS],  # das: one inverse per sigma
      {"eigendecompose": 0, "inverse": 3, "hermitian_spectrum": 0,
       "biorthonormalize": 0, "spectral_metric": 1, "validate_metric": 0}),
-], ids=["metric-in-n8", "evolve-in-n8", "evolve-model", "discriminate-axis", "compare"])
+], ids=["metric-in-n8", "evolve-in-n8", "evolve-model", "metric-model",
+        "discriminate-axis", "compare"])
 def test_kernel_calls_per_command(capsys, monkeypatch, tmp_path, argv, counts):
     calls = dict.fromkeys(counts, 0)
     for module, names in (
