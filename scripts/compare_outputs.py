@@ -128,6 +128,14 @@ def _commands() -> list:
                             "--out", "out/matrix8-evolve"]),
         ("jordan-evolve", ["evolve", "--in", "jordan.json", "--allow-broken",
                            "--steps", "21", "--out", "out/jordan-evolve"]),
+        ("matrix8-evolve-hbar", ["evolve", "--in", "chain8.json", "--hbar",
+                                 "0.7", "--steps", "21",
+                                 "--out", "out/matrix8-evolve-hbar"]),
+        # the exact EP far out: the Pade fallback squares six times
+        ("evolve-jc_doublet-ep-tmax200",
+         ["evolve", "--model", "jc_doublet", "--params", _POINTS["jc_doublet"][1],
+          "--allow-broken", "--tmax", "200", "--steps", "21",
+          "--out", "out/evolve-jc_doublet-ep-tmax200"]),
         ("sweep-2d", ["sweep", "--model", "jc_doublet", "--params", "n=0",
                       "--axis", "rho=0:0.5:21", "--axis", "eps=0:1:11",
                       "--out", "out/sweep-2d"]),

@@ -444,7 +444,10 @@ def cmd_evolve(args, tols):
     if res.instance is not None:  # its closed form, None unless unbroken
         m = res.instance.analytic_metric
     times = np.linspace(0.0, args.tmax, args.steps)
-    rec = dynamics.evolve(res.h, psi0, times, metric=m, hbar=args.hbar)
+    try:
+        rec = dynamics.evolve(res.h, psi0, times, metric=m, hbar=args.hbar)
+    except ValueError as exc:  # an overflowing state or norm
+        raise InvalidParams(f"--tmax {args.tmax!r}: {exc}") from None
     metric_dev = float(np.max(np.abs(rec.metric_norms - rec.metric_norms[0]))
                        / max(rec.metric_norms[0], 1e-300))
     std_dev = float(np.max(np.abs(rec.standard_norms - rec.standard_norms[0])))
@@ -463,11 +466,15 @@ def cmd_evolve(args, tols):
 def cmd_discriminate(args, tols):
     sin_theta = args.sin_theta
     doc = None
-    if getattr(args, "model", None) or getattr(args, "infile", None):
+    if args.model or args.infile:  # only a jc_doublet carries a sin theta
         doc = _load_input(args)
         res = ResolvedInput(doc, tols["herm_tol"])
-        if res.instance is not None and "sin_theta" in res.instance.extras:
-            sin_theta = res.instance.extras["sin_theta"]
+        if res.instance is None or res.instance.family != "jc_doublet":
+            raise InvalidParams("discriminate reads sin theta from a "
+                                "jc_doublet model input only")
+        label, grounds, _ = _judge(res, tols)
+        _refuse(label, grounds)
+        sin_theta = res.instance.extras["sin_theta"]
     m = dynamics.assemble_discrimination_metric(sin_theta)
     files = {}
     if args.axis:
@@ -586,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_finite, default=0.05)
     p.add_argument("--sin-theta", type=_finite, default=0.5,
                    help="doublet mixing used in the 4x4 metric "
-                        "(overridden by a jc_doublet model input)")
+                        "(read from a jc_doublet model input instead, the "
+                        "only input discriminate accepts)")
     p.add_argument("--axis", metavar="theta=START:STOP:COUNT",
                    help="scan theta instead of a single evaluation")
     p.set_defaults(handler=cmd_discriminate)

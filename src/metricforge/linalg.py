@@ -5,7 +5,8 @@ evolution) runs on the kernels in this module: partial-pivot LU inversion,
 a general complex eigensolver (one complex Schur form for every n, closed
 form at 2x2 and Hessenberg + shifted QR above, with eigenvectors by
 triangular back-substitution), Hermitian spectra by Householder
-tridiagonalization and implicit QL, and the matrix exponential.  The
+tridiagonalization and implicit QL, and the matrix exponential
+(diagonalization, or Pade-13 scaling and squaring).  The
 eigensolver only decomposes; metric.biorthonormalize alone refuses an
 incomplete eigensystem.  Matrices are plain ``numpy.ndarray`` of
 complex128; ``numpy`` supplies storage and elementwise arithmetic, never
@@ -27,7 +28,6 @@ from .errors import NoConvergence, NotHermitian, SingularMatrix
 # at n <= 64.
 HERM_TOL = 1e-10
 DEFECT_TOL = 1e-8
-EXP_TOL = 1e-12
 SINGULAR_TOL = 1e-13
 COND_MAX = 1e8
 QL_MAX_ITERS = 30  # per eigenvalue
@@ -474,14 +474,69 @@ def hermitian_spectrum(m) -> np.ndarray:
 # Matrix exponential
 # ---------------------------------------------------------------------------
 
+# Pade [13/13] coefficients b_0..b_13 and the 1-norm up to which the
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26 (2005) 1179, Table 2.3 and eq. (2.2))
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+          960960.0, 16380.0, 182.0, 1.0)
+THETA_13 = 5.371920351148152
+
+
+def _pade13(a: np.ndarray):
+    """``scale -> exp(scale * A)`` by Pade-13 scaling and squaring.
+
+    A^2, A^4 and A^6 are formed once; each scale c then costs three
+    products, one LU solve and s squarings, s being the least integer with
+    ||c A||_1 / 2^s <= THETA_13 (an infinite or NaN scale gives s = 0 and a
+    non-finite result).  An array of scales gives the stack of the
+    matrices each scale gives alone.
+    """
+    b = PADE13
+    n = a.shape[0]
+    eye = np.eye(n, dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    norm1 = float(np.max(np.sum(np.abs(a), axis=0)))
+
+    def pade(scale) -> np.ndarray:
+        c = complex(scale)
+        x = abs(c) * norm1 / THETA_13
+        s = math.ceil(math.log2(x)) if 1.0 < x < math.inf else 0
+        c1 = c / 2.0 ** s
+        c2 = c1 * c1
+        c4 = c2 * c2
+        c6 = c4 * c2
+        x2, x4, x6 = c2 * a2, c4 * a4, c6 * a6
+        u = (c1 * a) @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                        + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+        lu, piv = _lu_factor(v - u)
+        r = _lu_solve(lu, piv, v + u)
+        for _ in range(s):
+            r = r @ r
+        return r
+
+    def propagator(scale) -> np.ndarray:
+        if np.ndim(scale):
+            return np.stack([pade(c) for c in scale])
+        return pade(scale)
+    return propagator
+
+
 def exp_propagator(m):
     """Factor M once and return ``scale -> exp(scale * M)``.
 
-    The factor step decides the path: diagonalization M = V diag(lam) V^-1
-    when the eigenvector matrix is well conditioned (Frobenius condition
-    number below COND_MAX) and reconstructs M, otherwise scaling-and-squaring
-    with a Taylor series truncated once a term falls below EXP_TOL.  The
-    decision does not depend on the scale, so a propagator built once
+    The scale is a complex number, giving the (n, n) matrix, or a 1-D array
+    of T of them, giving the (T, n, n) stack whose k-th matrix is bit for
+    bit the one that scale k alone gives.  The factor step decides the
+    path: diagonalization M = V diag(lam) V^-1 when the eigenvector matrix
+    is well conditioned (Frobenius condition number below COND_MAX) and
+    reconstructs M, otherwise Pade-13 scaling and squaring (Higham 2005).
+    The decision does not depend on the scale, so a propagator built once
     serves every time point of a trajectory.  Near an EP, cond_F(V) >=
     sqrt(n) / min_k |<l_k|r_k>| for unit vectors, so an overlap below
     DEFECT_TOL fails COND_MAX; at an exact EP inverse(V) is singular.
@@ -489,37 +544,18 @@ def exp_propagator(m):
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("exp_propagator needs a square matrix")
-    n = a.shape[0]
     try:
         pairs = eigendecompose(a)
         v = np.column_stack([p.right for p in pairs])
         vinv = inverse(v)
         if frob(v) * frob(vinv) < COND_MAX:
-            values = [p.value for p in pairs]
+            values = np.array([p.value for p in pairs])
             recon = v @ np.diag(values) @ vinv
             if frob(recon - a) <= 1e-8 * max(frob(a), 1e-300):
-                def diagonal(scale: complex) -> np.ndarray:
-                    lam = np.array([np.exp(scale * x) for x in values])
-                    return v @ (lam[:, None] * vinv)
+                def diagonal(scale) -> np.ndarray:
+                    lam = np.exp(np.multiply.outer(scale, values))
+                    return v @ (lam[..., None] * vinv)
                 return diagonal
     except (SingularMatrix, NoConvergence):
         pass
-
-    def taylor(scale: complex) -> np.ndarray:
-        # scaling and squaring with Taylor
-        b = scale * a
-        nb = frob(b)
-        s = max(0, int(math.ceil(math.log2(nb))) + 1) if nb > 0.5 else 0
-        b = b / (2 ** s)
-        result = np.eye(n, dtype=complex)
-        term = np.eye(n, dtype=complex)
-        for k in range(1, 80):
-            term = term @ b / k
-            result = result + term
-            if frob(term) <= EXP_TOL * max(frob(result), 1.0):
-                break
-        for _ in range(s):
-            result = result @ result
-        return result
-    return taylor
-
+    return _pade13(a)

@@ -530,6 +530,17 @@ def test_evolve_broken_growth_rate(capsys):
     assert abs(doc["results"]["growth_rate"] - gamma) / gamma < 0.01
 
 
+def test_evolve_overflow_exit_4(capsys):
+    # the growing mode overflows long before t = 1e4
+    code, _, err = run(capsys, ["evolve", "--model", "jc_doublet",
+                                "--params", "rho=0.3", "--allow-broken",
+                                "--tmax", "1e4", "--steps", "5"])
+    assert code == 4
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    assert "--tmax" in body["message"] and "t = 2500.0 " in body["message"]
+
+
 def test_discriminate_point(capsys):
     doc = run_json(capsys, ["discriminate", "--theta", "1.0471975511965976",
                             "--eps", "0.05"])
@@ -555,6 +566,33 @@ def test_discriminate_scan(capsys, tmp_path):
 def test_discriminate_sin_theta_from_model(capsys):
     doc = run_json(capsys, ["discriminate", *JC_ARGS])
     assert abs(doc["results"]["sin_theta"] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["pt_matrix", "matrix", "jc_full"])
+def test_discriminate_other_inputs_exit_4(capsys, tmp_path, source):
+    if source == "matrix":
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"matrix": {"h": [[1, 1], [0, 1]]}}))
+        given = ["--in", str(path)]
+    elif source == "pt_matrix":
+        given = ["--model", "pt_matrix",
+                 "--params", "r=1,theta=0.5,s=1,t=1,phi=0"]
+    else:
+        given = ["--model", "jc_full", "--params", "levels=2,rho=0.05"]
+    code, _, err = run(capsys, ["discriminate", *given, "--theta", "0.7"])
+    assert code == 4
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("rho, code, error", [
+    ("0.3", 2, "BrokenPhase"),
+    ("0.25", 3, "DefectiveSystem"),
+], ids=["broken", "exceptional"])
+def test_discriminate_refuses_doublet_without_metric(capsys, rho, code, error):
+    got, _, err = run(capsys, ["discriminate", "--model", "jc_doublet",
+                               "--params", f"n=0,eps=0.5,omega=1,rho={rho}"])
+    assert got == code
+    assert json.loads(err)["error"] == error
 
 
 def _matrix_doc(path, n=8):

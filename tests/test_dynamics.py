@@ -75,6 +75,28 @@ def test_evolve_rejects_empty_times_and_mismatch():
         dynamics.evolve(np.eye(2), np.array([1.0, 0.0, 0.0]), [0.0])
 
 
+@pytest.mark.parametrize("times, hbar", [
+    ([0.0, float("nan")], 1.0),
+    ([0.0, float("inf")], 1.0),
+    ([0.0, 1.0], 0.0),
+    ([0.0, 1.0], -1.0),
+    ([0.0, 1.0], float("nan")),
+    ([0.0, 1.0], float("inf")),
+], ids=["nan-time", "inf-time", "hbar-0", "hbar-negative", "hbar-nan",
+        "hbar-inf"])
+def test_evolve_rejects_non_finite_times_and_bad_hbar(times, hbar):
+    with pytest.raises(ValueError):
+        dynamics.evolve(np.eye(2), np.array([1.0, 0.0]), times, hbar=hbar)
+
+
+def test_evolve_refuses_overflow_naming_first_time():
+    # growth rate 0.166: at t = 2500 the state is finite (about 1e180) but
+    # its squared norm overflows; from t = 5000 the state itself does
+    h = models.build("jc_doublet", {"rho": 0.3}).hamiltonian
+    with pytest.raises(ValueError, match=r"t = 2500\.0 "):
+        dynamics.evolve(h, np.array([0.6, 0.8j]), np.linspace(0.0, 1e4, 5))
+
+
 def test_evolution_csv_and_json():
     rec = dynamics.evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 1.0])
     lines = rec.to_csv().splitlines()
@@ -96,7 +118,7 @@ JORDAN3 = 0.7 * np.eye(3, dtype=complex) + np.diag([1.0, 1.0], 1)
 
 @pytest.mark.parametrize("params, outcome", [
     ({"rho": 0.125}, None),            # diagonalization path
-    (EP_PARAMS, None),                 # Taylor fallback
+    (EP_PARAMS, None),                 # Pade-13 fallback
 ], ids=["diagonalizable", "exact_ep"])
 def test_evolve_decomposes_h_once(monkeypatch, params, outcome):
     h = models.build("jc_doublet", params).hamiltonian
@@ -118,17 +140,56 @@ def test_evolve_decomposes_h_once(monkeypatch, params, outcome):
     assert outcomes == [outcome]
 
 
-@pytest.mark.parametrize("h", [
-    models.build("jc_doublet", {"rho": 0.125}).hamiltonian,
-    models.build("jc_doublet", EP_PARAMS).hamiltonian,
-    JORDAN3,
-], ids=["diagonalizable", "exact_ep", "jordan3"])
-def test_evolve_states_equal_pointwise_mat_exp(h):
+def dense_pseudo_hermitian(n, seed):
+    """(H, metric): H = S^-1 K S with K Hermitian (spectrum in [-1, 1]) and
+    cond(S) = 10, so S^dagger S is a metric of H."""
+    rng = np.random.default_rng(seed)
+    q1, q2, q3 = (npl.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0] for _ in range(3))
+    s = (q2 * np.geomspace(1.0, 10.0, n)) @ q3
+    h = npl.solve(s, (q1 * np.linspace(-1.0, 1.0, n)) @ q1.conj().T @ s)
+    return h, metric.MetricOperator(s.conj().T @ s, "analytic")
+
+
+JC_FULL4 = models.build("jc_full", {"levels": 4, "rho": 0.05})
+JORDAN5 = 0.7 * np.eye(5, dtype=complex) + np.diag(np.ones(4), 1)
+
+
+@pytest.mark.parametrize("h, m", [
+    (models.build("jc_doublet", {"rho": 0.125}).hamiltonian, None),
+    (models.build("jc_doublet", EP_PARAMS).hamiltonian, None),
+    (JORDAN3, None),
+    (JC_FULL4.hamiltonian, JC_FULL4.analytic_metric),
+    dense_pseudo_hermitian(8, 8),
+    (JORDAN5, None),
+], ids=["diagonalizable", "exact_ep", "jordan3", "jc_full4", "dense8", "jordan5"])
+def test_evolve_states_equal_pointwise_mat_exp(h, m):
     hbar = 0.7
     psi0 = np.linspace(1.0, 2.0, h.shape[0]) * np.exp(0.3j * np.arange(h.shape[0]))
-    rec = dynamics.evolve(h, psi0, TIMES, hbar=hbar)
-    for t, state in zip(TIMES, rec.states):
-        assert np.array_equal(state, linalg.exp_propagator(h)(-1j * t / hbar) @ psi0)
+    rec = dynamics.evolve(h, psi0, TIMES, metric=m, hbar=hbar)
+    eta = m or metric.MetricOperator(np.eye(h.shape[0], dtype=complex), "analytic")
+    propagator = linalg.exp_propagator(h)
+    for t, state, mn, sn in zip(TIMES, rec.states, rec.metric_norms,
+                                rec.standard_norms):
+        assert np.array_equal(state, propagator(-1j * t / hbar) @ psi0)
+        assert mn == math.sqrt(max(
+            metric.metric_inner_product(state, state, eta).real, 0.0))
+        assert sn == math.sqrt(float(np.sum(np.abs(state) ** 2)))
+
+
+@pytest.mark.parametrize("h, m", [
+    dense_pseudo_hermitian(8, 9),
+    (models.build("jc_doublet", EP_PARAMS).hamiltonian, None),
+], ids=["dense8", "exact_ep"])
+def test_evolve_blocks_equal_one_stack(monkeypatch, h, m):
+    psi0 = np.linspace(1.0, 2.0, h.shape[0]) * np.exp(0.3j * np.arange(h.shape[0]))
+    whole = dynamics.evolve(h, psi0, TIMES, metric=m)
+    # 7 time points per stack: 101 points in 15 blocks, the last of 3
+    monkeypatch.setattr(dynamics, "STACK_ENTRIES", 7 * h.shape[0] ** 2)
+    blocks = dynamics.evolve(h, psi0, TIMES, metric=m)
+    assert np.array_equal(blocks.states, whole.states)
+    assert np.array_equal(blocks.metric_norms, whole.metric_norms)
+    assert np.array_equal(blocks.standard_norms, whole.standard_norms)
 
 
 def test_jordan_block_evolution_matches_expm():

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from metricforge import linalg, metric
+from metricforge import linalg, metric, models
 from metricforge.errors import NoConvergence, NotHermitian, SingularMatrix
 
 RNG = np.random.default_rng(20240811)
@@ -150,7 +150,7 @@ def test_qr_failure_raises(monkeypatch):
     with np.errstate(invalid="ignore"):
         with pytest.raises(NoConvergence):
             linalg.eigendecompose(a)
-        # exp_propagator takes the Taylor path instead of a wrong eigenbasis
+        # exp_propagator takes the Pade path instead of a wrong eigenbasis
         assert np.allclose(linalg.exp_propagator(a)(1.0), scipy.linalg.expm(a),
                            atol=1e-10)
 
@@ -287,6 +287,92 @@ def test_mat_exp_scale_argument():
     a = random_complex(3)
     assert np.allclose(linalg.exp_propagator(a)(-2j),
                        scipy.linalg.expm(-2j * a), atol=1e-10)
+
+
+def pade_propagator(monkeypatch, a):
+    """exp_propagator(a), checked to have taken the Pade-13 fallback."""
+    built = []
+    original = linalg._pade13
+
+    def counted(m):
+        built.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "_pade13", counted)
+    propagator = linalg.exp_propagator(a)
+    assert built == [a.shape]
+    return propagator
+
+
+def assert_expm_close(u, want):
+    """||u - want|| <= 1e-12 ||want||, the bound that
+    test_dynamics.py::test_jordan_block_evolution_matches_expm holds states to."""
+    assert npl.norm(u - want) <= 1e-12 * npl.norm(want)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pade_jordan_blocks_match_expm(monkeypatch, n):
+    j = 0.7 * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
+    propagator = pade_propagator(monkeypatch, j)
+    for t in np.linspace(0.0, 16.0, 33):
+        assert_expm_close(propagator(-1j * t), scipy.linalg.expm(-1j * t * j))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("jc_doublet", {"n": 0, "eps": 0.5, "omega": 1, "rho": 0.25}),
+    ("dirac_scalar", {"m0": 1, "kx": 0, "v0": 1}),
+    ("pt_matrix", {"r": 1, "theta": np.pi / 2, "s": 1, "t": 1, "phi": 0}),
+], ids=["jc_doublet", "dirac_scalar", "pt_matrix"])
+def test_pade_exact_ep_families_match_expm(monkeypatch, family, params):
+    inst = models.build(family, params)
+    assert inst.phase == models.PHASE_EXCEPTIONAL
+    h = inst.hamiltonian
+    propagator = pade_propagator(monkeypatch, h)
+    for t in np.linspace(0.0, 16.0, 65):
+        assert_expm_close(propagator(-1j * t), scipy.linalg.expm(-1j * t * h))
+
+
+@pytest.mark.parametrize("kind", ["random8", "pseudo_hermitian8"])
+def test_pade_matches_expm_over_scale_norms(kind):
+    rng = np.random.default_rng(20241020)
+    if kind == "random8":
+        a = random_complex(8, rng)
+    else:  # real spectrum in [-1, 1], eigenvectors of condition number 10
+        q1, q2, q3 = (npl.qr(random_complex(8, rng))[0] for _ in range(3))
+        s = (q2 * np.geomspace(1.0, 10.0, 8)) @ q3
+        a = npl.solve(s, (q1 * np.linspace(-1.0, 1.0, 8)) @ q1.conj().T @ s)
+    a = a / np.max(np.sum(np.abs(a), axis=0))  # ||a||_1 = 1
+    propagator = linalg._pade13(a)
+    for norm in np.logspace(-3.0, 3.0, 25):  # ||scale a||_1 = norm
+        assert_expm_close(propagator(-1j * norm),
+                          scipy.linalg.expm(-1j * norm * a))
+
+
+def test_pade_n64_after_no_convergence(monkeypatch):
+    a = random_complex(64, np.random.default_rng(64))
+
+    def no_convergence(m):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(linalg, "eigendecompose", no_convergence)
+    propagator = pade_propagator(monkeypatch, a)
+    for scale in (0.125, 1.0, -0.3j, -1j):
+        assert_expm_close(propagator(scale), scipy.linalg.expm(scale * a))
+
+
+@pytest.mark.parametrize("path", ["diagonal", "pade"])
+def test_propagator_stack_equals_pointwise(monkeypatch, path):
+    if path == "diagonal":
+        a = well_conditioned(6, np.random.default_rng(6))
+        propagator = linalg.exp_propagator(a)
+    else:
+        a = 0.7 * np.eye(4, dtype=complex) + np.diag(np.ones(3), 1)
+        propagator = pade_propagator(monkeypatch, a)
+    scales = [-1j * t / 0.7 for t in np.linspace(0.0, 200.0, 41)] + [0.5, 2 - 3j]
+    stack = propagator(np.array(scales))
+    assert stack.shape == (len(scales), *a.shape)
+    for k, scale in enumerate(scales):
+        assert np.array_equal(stack[k], propagator(scale))
 
 
 @settings(max_examples=50, deadline=None)
