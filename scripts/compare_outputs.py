@@ -8,9 +8,11 @@ Every command in COMMANDS runs as ``python -m metricforge.cli ARGS`` in a
 fresh subprocess, with PYTHONPATH set to that tree's ``src``, one BLAS
 thread, and as working directory a per-side folder holding the same input
 files (INPUTS), so the echoed command line and the input digests agree.
-The exit code, stdout, stderr and every file written under ``--out`` are
-compared byte for byte.  For each differing JSON field or CSV column the
-largest relative numeric change is printed, with list indices folded
+A command whose first word is ``scripts/NAME.py`` runs that tree's own
+experiment script the same way.  The exit code, stdout, stderr and every
+file written under ``--out`` are compared byte for byte.  For each
+differing JSON field or CSV column the largest relative numeric change is
+printed, with list indices folded
 (``results.metrics.spectral.matrix[][][]``).  Exits 0 when every command
 matches and 1 otherwise.  Standard library only.
 """
@@ -175,6 +177,10 @@ def _commands() -> list:
                 (f"in-band-das-{tag}", ["metric", *model, "--method", "das"]),
                 (f"in-band-evolve-{tag}", ["evolve", *model, "--steps", "21"]),
             ]
+    # the experiment scripts, each against its own tree
+    for script in ("run_phase_sweep", "run_discrimination_scan"):
+        cmds.append((f"script-{script}",
+                     [f"scripts/{script}.py", "--out", f"out/{script}"]))
     return cmds
 
 
@@ -190,10 +196,15 @@ class Outcome:
 
 
 def run_command(tree: str, workdir: str, argv: list) -> Outcome:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+    root = os.path.abspath(tree)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "metricforge.cli", *argv],
+    if argv[0].startswith("scripts/"):
+        program = [os.path.join(root, argv[0]), *argv[1:]]
+    else:
+        program = ["-m", "metricforge.cli", *argv]
+    proc = subprocess.run([sys.executable, *program],
                           cwd=workdir, env=env, capture_output=True,
                           timeout=300, check=False)
     files = {}
@@ -333,7 +344,8 @@ def main(argv=None) -> int:
     differing = compare_trees(args.parent, args.change)
     for name, argv_ in COMMANDS:
         if name in differing:
-            print(f"DIFF {name}: metricforge {' '.join(argv_)}")
+            shown = "python" if argv_[0].startswith("scripts/") else "metricforge"
+            print(f"DIFF {name}: {shown} {' '.join(argv_)}")
             for line in differing[name]:
                 print(f"  {line}")
     print(f"{len(COMMANDS)} commands: {len(COMMANDS) - len(differing)} "

@@ -436,7 +436,6 @@ def cmd_evolve(args, tols):
     if args.steps < 2:
         raise InvalidParams("--steps must be >= 2")
     label, grounds, m = _judge(res, tols)
-    broken = label != models.PHASE_UNBROKEN
     if not args.allow_broken:
         _refuse(label, grounds, "; pass --allow-broken to evolve anyway")
     dim = res.h.shape[0]
@@ -458,7 +457,7 @@ def cmd_evolve(args, tols):
         "max_standard_norm_deviation": std_dev,
         "metric_used": _mat2j(m.matrix) if m is not None else None,
     }
-    if broken:
+    if label == models.PHASE_BROKEN:  # at an EP the norm grows like a power of t
         results["growth_rate"] = dynamics.growth_rate(rec)
     return results, {"evolution.csv": rec.to_csv()}, res.doc
 

@@ -52,14 +52,6 @@ class EvolutionRecord:
             buf.write(",".join(row) + "\n")
         return buf.getvalue()
 
-    def to_jsonable(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "states": [[[c.real, c.imag] for c in psi] for psi in self.states],
-            "metric_norms": [float(x) for x in self.metric_norms],
-            "standard_norms": [float(x) for x in self.standard_norms],
-        }
-
 
 def evolve(h, psi0, times, *, metric: MetricOperator | None = None,
            hbar: float = 1.0) -> EvolutionRecord:

@@ -30,24 +30,26 @@ HERM_TOL = 1e-10
 DEFECT_TOL = 1e-8
 SINGULAR_TOL = 1e-13
 COND_MAX = 1e8
-QL_MAX_ITERS = 30  # per eigenvalue
+QL_MAX_ITERS = 30  # times n, per tridiagonal QL call (LAPACK xSTEQR)
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Validate and coerce to a finite square-or-rectangular complex matrix."""
-    m = np.asarray(entries, dtype=complex)
+    """Validate and coerce to a finite square-or-rectangular complex matrix,
+    C-ordered (a transposed or Fortran-ordered input is copied, so the
+    kernels see one memory layout and return the same bits for it)."""
+    m = np.asarray(entries, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
 
 def as_vector(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex).reshape(-1)
+    m = np.asarray(entries, dtype=complex, order="C").reshape(-1)
     if m.size < 1:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("vector entries must be finite")
     return m
 
@@ -399,14 +401,16 @@ def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
     """Eigenvalues of the symmetric tridiagonal (d, e) by implicit QL with
     Wilkinson shifts (Golub & Van Loan 8.3; EISPACK tql1).
 
-    Raises NoConvergence when one eigenvalue needs more than QL_MAX_ITERS
-    iterations.
+    Raises NoConvergence when the n eigenvalues together need more than
+    QL_MAX_ITERS * n iterations: one budget for the call, as in LAPACK
+    xSTEQR, since graded input can spend far more than QL_MAX_ITERS on one
+    eigenvalue and then few on the rest.
     """
     n = len(d)
     e = e + [0.0]
     eps = np.finfo(float).eps
+    iters = 0
     for lo in range(n):
-        iters = 0
         while True:
             # the first negligible subdiagonal at or below lo ends the block
             m = lo
@@ -414,9 +418,9 @@ def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
                 m += 1
             if m == lo:
                 break
-            if iters == QL_MAX_ITERS:
+            if iters == QL_MAX_ITERS * n:
                 raise NoConvergence(
-                    f"QL iteration did not converge in {QL_MAX_ITERS} steps"
+                    f"QL iteration did not converge in {QL_MAX_ITERS * n} steps"
                 )
             iters += 1
             g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])

@@ -5,7 +5,7 @@ a similarity operator S with S H = H^dagger S, the closed-form eigensystem
 (a metric.BiorthSystem of paired right and left columns), the closed-form
 metric, and the data for the projector-based metric assembly
 (the "das" route).  The closed forms serve as oracles for the generic
-machinery.
+machinery; build checks S H = H^dagger S once per instance.
 
 Normalization conventions:
 
@@ -13,8 +13,9 @@ Normalization conventions:
   that makes the spectral sum reproduce the stored closed-form metric
   (unit norm for the spin-oscillator doublet and the 2x2 PT matrix,
   relativistic spinor normalization for the Dirac model);
-* the Dirac similarity operator is [[1, v0/m0c^2], [v0/m0c^2, 1]]; note
-  that the antisymmetric candidate [[0, -1], [1, 0]] anti-intertwines
+* the Dirac similarity operator is [[1, v0/m0c^2], [v0/m0c^2, 1]] or
+  diag(c p - v0, c p + v0) (_dirac_similarity); note that the
+  antisymmetric candidate [[0, -1], [1, 0]] anti-intertwines
   (S H = -H^dagger S) and is not a valid similarity;
 * the Dirac reference metric for the projector route is
   diag((c p - v0)/(c p + v0), 1), which maps the reference spinor to its
@@ -110,45 +111,50 @@ class ModelInstance:
     das_data: DasConstruction | None = None
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        resid = check_pseudo_hermitian(self.hamiltonian, self.similarity)
-        if resid > 1e-12:
-            raise AssertionError(
-                f"model {self.family} violates pseudo-Hermiticity: {resid:.3e}"
-            )
 
+def _das_2x2(sys: BiorthSystem, q0: np.ndarray) -> DasConstruction:
+    """Projector-route data for a 2x2 system, the first column the reference.
 
-def _classify_disc(disc: float, scale: float) -> str:
-    if abs(disc) <= _EP_BAND * max(scale, 1.0):
-        return PHASE_EXCEPTIONAL
-    return PHASE_UNBROKEN if disc > 0 else PHASE_BROKEN
-
-
-def _duals(sys: BiorthSystem) -> np.ndarray:
-    """Biorthogonal duals as columns, <dual_k|right_k> = 1, built from the
-    stored lefts."""
-    ov = [complex(sys.left[:, k].conj() @ sys.right[:, k])
-          for k in range(sys.left.shape[1])]
-    return sys.left / np.conj(ov)
-
-
-def _das_2x2(sys: BiorthSystem, q0: np.ndarray, ref: int) -> DasConstruction:
-    """Projector-route data for a 2x2 system with reference column ref.
-
-    The projectors are |psi_E><dual_E| in the order of the columns.  sigma
+    The projectors are |psi_E><dual_E| in the order of the columns, with the
+    biorthogonal duals <dual_k|psi_k> = 1 built from the stored lefts.  sigma
     for the reference energy is the identity; the other generator is the
-    biorthogonal swap |psi_other><dual_ref| + |psi_ref><dual_other| (the
-    generalization of the spin-flip used by the doublet model).
+    biorthogonal swap |psi_1><dual_0| + |psi_0><dual_1| (the generalization
+    of the spin-flip used by the doublet model).
     """
-    duals = _duals(sys)
     psi = sys.right
-    other = 1 - ref
+    ov = [complex(sys.left[:, k].conj() @ psi[:, k]) for k in range(2)]
+    duals = sys.left / np.conj(ov)
     projectors = [np.outer(psi[:, k], duals[:, k].conj()) for k in range(2)]
-    generators = [None, None]
-    generators[ref] = np.eye(2, dtype=complex)
-    generators[other] = (np.outer(psi[:, other], duals[:, ref].conj())
-                         + np.outer(psi[:, ref], duals[:, other].conj()))
-    return DasConstruction(q0, generators, projectors)
+    swap = (np.outer(psi[:, 1], duals[:, 0].conj())
+            + np.outer(psi[:, 0], duals[:, 1].conj()))
+    return DasConstruction(q0, [np.eye(2, dtype=complex), swap], projectors)
+
+
+def _two_level(family: str, p, h, s, disc: float, scale: float,
+               centre: float, half: float, closed_forms) -> ModelInstance:
+    """The instance of a 2x2 family with discriminant disc.
+
+    The eigenvalues are centre -+ half sqrt(|disc|): a complex-conjugate
+    pair when broken, equal at the EP (|disc| within _EP_BAND of the family's
+    energy scale squared).  Only when unbroken, closed_forms(half sqrt(disc))
+    gives the right and left columns (paired with those eigenvalues), the
+    closed-form metric, the das reference metric q0 and the extras.
+    """
+    root = half * math.sqrt(abs(disc))
+    params = dict(vars(p))
+    if abs(disc) <= _EP_BAND * max(scale, 1.0):
+        return ModelInstance(family, params, h, s, [complex(centre)] * 2,
+                             PHASE_EXCEPTIONAL, disc)
+    if disc < 0:
+        vals = [centre - 1j * root, centre + 1j * root]
+        return ModelInstance(family, params, h, s, vals, PHASE_BROKEN, disc)
+    vals = [complex(centre - root), complex(centre + root)]
+    right, left, eta, q0, extras = closed_forms(root)
+    system = BiorthSystem(np.array(vals, dtype=complex), right, left)
+    return ModelInstance(family, params, h, s, vals, PHASE_UNBROKEN, disc,
+                         analytic_system=system,
+                         analytic_metric=MetricOperator(eta, "analytic"),
+                         das_data=_das_2x2(system, q0), extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -161,109 +167,83 @@ def jc_doublet(p: JCParams) -> ModelInstance:
     h = np.array([[p.epsilon / 2 + p.n * hw, b],
                   [-b, -p.epsilon / 2 + (p.n + 1) * hw]], dtype=complex)
     s = np.diag([1.0 + 0j, -1.0 + 0j])
-    disc = p.discriminant()
-    phase = _classify_disc(disc, hw ** 2)
-    center = (2 * p.n + 1) * hw / 2.0
-    params = {"n": p.n, "epsilon": p.epsilon, "omega": p.omega,
-              "rho": p.rho, "hbar": p.hbar}
 
-    if phase == PHASE_BROKEN:
-        gap = math.sqrt(-disc) / 2.0
-        vals = [center - 1j * gap, center + 1j * gap]
-        return ModelInstance("jc_doublet", params, h, s, vals, phase, disc)
-    if phase == PHASE_EXCEPTIONAL:
-        return ModelInstance("jc_doublet", params, h, s, [center, center],
-                             phase, disc)
+    def closed_forms(_root):
+        st = 2.0 * b / (hw - p.epsilon)  # sin(theta_{n+1})
+        th = math.asin(st)
+        cs, sn = math.cos(th / 2.0), math.sin(th / 2.0)
+        # right columns psi_-, psi_+ and left columns phi_-, phi_+
+        right = np.array([[cs, sn], [sn, cs]], dtype=complex)
+        left = np.array([[cs, sn], [-sn, -cs]], dtype=complex)
+        eta = np.array([[1.0, -st], [-st, 1.0]], dtype=complex)
+        return right, left, eta, math.cos(th) * s, {"sin_theta": st}
 
-    root = math.sqrt(disc)
-    lam_p, lam_m = center + root / 2.0, center - root / 2.0
-    st = 2.0 * b / (hw - p.epsilon)  # sin(theta_{n+1})
-    th = math.asin(st)
-    cs, sn = math.cos(th / 2.0), math.sin(th / 2.0)
-    # right columns psi_-, psi_+ and left columns phi_-, phi_+
-    system = BiorthSystem(np.array([lam_m, lam_p], dtype=complex),
-                          np.array([[cs, sn], [sn, cs]], dtype=complex),
-                          np.array([[cs, sn], [-sn, -cs]], dtype=complex))
-    eta = np.array([[1.0, -st], [-st, 1.0]], dtype=complex)
-    q0 = math.cos(th) * s
-    das = _das_2x2(system, q0, ref=0)
-    return ModelInstance(
-        "jc_doublet", params, h, s, [lam_m, lam_p], phase, disc,
-        analytic_system=system,
-        analytic_metric=MetricOperator(eta, "analytic"),
-        das_data=das,
-        extras={"sin_theta": st},
-    )
+    return _two_level("jc_doublet", p, h, s, p.discriminant(), hw ** 2,
+                      (2 * p.n + 1) * hw / 2.0, 0.5, closed_forms)
+
+
+def _direct_sum(first, blocks) -> np.ndarray:
+    """The matrices with first at (0, 0) and the 2x2 blocks down the diagonal
+    after it, zero elsewhere: blocks (..., k, 2, 2) give (..., 2k+1, 2k+1),
+    and first broadcasts over the leading axes."""
+    blocks = np.asarray(blocks, dtype=complex)
+    k = blocks.shape[-3]
+    m = np.zeros(blocks.shape[:-3] + (2 * k + 1, 2 * k + 1), dtype=complex)
+    m[..., 0, 0] = first
+    at = 1 + 2 * np.arange(k)[:, None, None]
+    m[..., at + [[0], [1]], at + [0, 1]] = blocks
+    return m
 
 
 def jc_full(p: JCParams, levels: int) -> ModelInstance:
-    """Truncated full model: ground state plus the first `levels` doublets.
+    """Truncated full model: the direct sum of the ground state and the first
+    `levels` doublets (p.n is not read).
 
     Basis order: |0,-1/2>, then {|n,+1/2>, |n+1,-1/2>} for n = 0..levels-1.
     """
     if levels < 1:
         raise InvalidParams("levels must be >= 1")
-    dim = 2 * levels + 1
-    h = np.zeros((dim, dim), dtype=complex)
-    s_diag = np.empty(dim, dtype=complex)
-    h[0, 0] = -p.epsilon / 2.0
-    s_diag[0] = -1.0
-    blocks = []
-    vals: list[complex] = [complex(-p.epsilon / 2.0)]
-    for n in range(levels):
-        bp = JCParams(n=n, epsilon=p.epsilon, omega=p.omega, rho=p.rho, hbar=p.hbar)
-        inst = jc_doublet(bp)
-        blocks.append(inst)
-        i = 1 + 2 * n
-        h[i:i + 2, i:i + 2] = inst.hamiltonian
-        s_diag[i], s_diag[i + 1] = 1.0, -1.0
-        vals.extend(inst.analytic_eigenvalues)
-    s = np.diag(s_diag)
-    worst = PHASE_UNBROKEN
-    for inst in blocks:
-        if inst.phase == PHASE_BROKEN:
-            worst = PHASE_BROKEN
-            break
-        if inst.phase == PHASE_EXCEPTIONAL:
-            worst = PHASE_EXCEPTIONAL
-    disc = min(inst.discriminant for inst in blocks)
-    params = {"epsilon": p.epsilon, "omega": p.omega, "rho": p.rho,
-              "hbar": p.hbar, "levels": levels}
-    if worst != PHASE_UNBROKEN:
-        return ModelInstance("jc_full", params, h, s, vals, worst, disc)
+    doublets = [jc_doublet(replace(p, n=n)) for n in range(levels)]
+    ground = -p.epsilon / 2.0
+    h = _direct_sum(ground, [d.hamiltonian for d in doublets])
+    s = _direct_sum(-1.0, [d.similarity for d in doublets])
+    vals = [complex(ground), *(v for d in doublets for v in d.analytic_eigenvalues)]
+    params = dict(vars(p), levels=levels)
+    del params["n"]
+    # the top doublet breaks first: its discriminant is the smallest, and
+    # its phase the worst
+    top = doublets[-1]
+    if top.phase != PHASE_UNBROKEN:
+        return ModelInstance("jc_full", params, h, s, vals, top.phase,
+                             top.discriminant)
 
-    def embed_mat(block_mat, n, background):
-        m = background.astype(complex, copy=True)
-        m[1 + 2 * n:3 + 2 * n, 1 + 2 * n:3 + 2 * n] = block_mat
-        return m
-
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    # column 0 is the ground state; each doublet's 2x2 block of columns
-    # sits on the diagonal at its basis indices
-    right = zero.copy()
-    right[0, 0] = 1.0
-    left = right.copy()
-    metric = right.copy()  # phase freedom fixes the ground entry to +1
-    q0 = right.copy()
-    generators = [eye.copy()]
-    projectors = [np.outer(right[:, 0], left[:, 0].conj())]
-    for n, inst in enumerate(blocks):
-        blk = slice(1 + 2 * n, 3 + 2 * n)
-        right[blk, blk] = inst.analytic_system.right
-        left[blk, blk] = inst.analytic_system.left
-        metric[blk, blk] = inst.analytic_metric.matrix
-        q0[blk, blk] = inst.das_data.reference_metric_q0
-        for sigma, proj in zip(inst.das_data.generators, inst.das_data.projectors):
-            generators.append(embed_mat(sigma, n, eye))
-            projectors.append(embed_mat(proj, n, zero))
-    das = DasConstruction(q0, generators, projectors)
+    das = [d.das_data for d in doublets]
+    # sigma_E and P_E of the ground state (E = 0), then of each doublet
+    # energy: the doublet's own 2x2 on its block, the identity (sigma) or
+    # zero (P) on the other blocks, and 1 at (0, 0) but for the doublets' P
+    energy = np.arange(2 * levels + 1)
+    k = energy[1:]
+    sigmas = np.broadcast_to(np.eye(2), (energy.size, levels, 2, 2)).astype(complex)
+    sigmas[k, (k - 1) // 2] = [g for x in das for g in x.generators]
+    projs = np.zeros_like(sigmas)
+    projs[k, (k - 1) // 2] = [pr for x in das for pr in x.projectors]
+    # the ground state's column and its metric and q0 entries are +1 (its
+    # phase freedom fixes the sign)
+    system = BiorthSystem(
+        np.array(vals, dtype=complex),
+        _direct_sum(1.0, [d.analytic_system.right for d in doublets]),
+        _direct_sum(1.0, [d.analytic_system.left for d in doublets]))
     return ModelInstance(
-        "jc_full", params, h, s, vals, worst, disc,
-        analytic_system=BiorthSystem(np.array(vals, dtype=complex), right, left),
-        analytic_metric=MetricOperator(metric, "analytic"),
-        das_data=das,
-        extras={"sin_thetas": [b.extras["sin_theta"] for b in blocks]},
+        "jc_full", params, h, s, vals, top.phase, top.discriminant,
+        analytic_system=system,
+        analytic_metric=MetricOperator(
+            _direct_sum(1.0, [d.analytic_metric.matrix for d in doublets]),
+            "analytic"),
+        das_data=DasConstruction(
+            _direct_sum(1.0, [x.reference_metric_q0 for x in das]),
+            list(_direct_sum(1.0, sigmas)),
+            list(_direct_sum(energy == 0, projs))),
+        extras={"sin_thetas": [d.extras["sin_theta"] for d in doublets]},
     )
 
 
@@ -277,52 +257,34 @@ def pt_matrix(p: PTParams) -> ModelInstance:
                   [t_ * np.exp(-1j * ph), r * np.exp(-1j * th)]])
     sim = np.array([[0.0, np.exp(1j * ph)], [np.exp(-1j * ph), 0.0]])
     big_r = r * math.sin(th)
-    disc = p.discriminant()
-    scale = max(abs(s_ * t_), big_r ** 2, 1.0)
-    phase = _classify_disc(disc, scale)
-    params = {"r": r, "s": s_, "t": t_, "theta": th, "phi": ph}
-    e2, em = np.exp(1j * ph / 2.0), np.exp(-1j * ph / 2.0)
 
-    if phase == PHASE_BROKEN:
-        qt = math.sqrt(-disc)
-        vals = [r * math.cos(th) - 1j * qt, r * math.cos(th) + 1j * qt]
-        return ModelInstance("pt_matrix", params, h, sim, vals, phase, disc)
-    if phase == PHASE_EXCEPTIONAL:
-        val = complex(r * math.cos(th))
-        return ModelInstance("pt_matrix", params, h, sim, [val, val], phase, disc)
+    def closed_forms(q):
+        # unbroken means s t > r^2 sin^2 theta >= 0, so s and t share a sign
+        if s_ < 0:  # flip both signs into the (s>0, t>0) sheet of the quartic roots
+            raise InvalidParams("unbroken-phase formulas are stated for s, t > 0")
+        e2, em = np.exp(1j * ph / 2.0), np.exp(-1j * ph / 2.0)
+        pref = 1.0 / math.sqrt(s_ + t_)
+        st4 = (s_ / t_) ** 0.25
+        ts4 = (t_ / s_) ** 0.25
+        rp = np.sqrt(complex(q + 1j * big_r))
+        rm = np.sqrt(complex(q - 1j * big_r))
+        # columns E_-, E_+; the left (adjoint-Hamiltonian) eigenvectors are
+        # the same formulas under theta -> -theta, s <-> t (the s/t-inverted
+        # variant is not an eigenvector of H^dagger)
+        prefactor = np.array([1j * pref, pref])  # per column
+        right = prefactor * np.array([[st4 * rm * e2, st4 * rp * e2],
+                                      [-ts4 * rp * em, ts4 * rm * em]])
+        left = prefactor * np.array([[ts4 * rp * e2, ts4 * rm * e2],
+                                     [-st4 * rm * em, st4 * rp * em]])
+        eta = (2.0 / (s_ + t_)) * np.array(
+            [[t_, -1j * big_r * np.exp(1j * ph)],
+             [1j * big_r * np.exp(-1j * ph), s_]])
+        q0 = -((s_ + t_) / (2.0 * q)) * sim
+        return right, left, eta, q0, {"q_factor": q}
 
-    if s_ * t_ <= 0:
-        raise InvalidParams("unbroken-phase formulas need s and t of the same sign")
-    if s_ < 0:  # flip both signs into the (s>0, t>0) sheet of the quartic roots
-        raise InvalidParams("unbroken-phase formulas are stated for s, t > 0")
-    q = math.sqrt(disc)
-    e_p, e_m = r * math.cos(th) + q, r * math.cos(th) - q
-    pref = 1.0 / math.sqrt(s_ + t_)
-    st4 = (s_ / t_) ** 0.25
-    ts4 = (t_ / s_) ** 0.25
-    rp = np.sqrt(complex(q + 1j * big_r))
-    rm = np.sqrt(complex(q - 1j * big_r))
-    # columns E_-, E_+; the left (adjoint-Hamiltonian) eigenvectors are the
-    # same formulas under theta -> -theta, s <-> t (the s/t-inverted
-    # variant is not an eigenvector of H^dagger)
-    prefactor = np.array([1j * pref, pref])  # per column
-    right = prefactor * np.array([[st4 * rm * e2, st4 * rp * e2],
-                                  [-ts4 * rp * em, ts4 * rm * em]])
-    left = prefactor * np.array([[ts4 * rp * e2, ts4 * rm * e2],
-                                 [-st4 * rm * em, st4 * rp * em]])
-    system = BiorthSystem(np.array([e_m, e_p], dtype=complex), right, left)
-    eta = (2.0 / (s_ + t_)) * np.array(
-        [[t_, -1j * big_r * np.exp(1j * ph)],
-         [1j * big_r * np.exp(-1j * ph), s_]])
-    q0 = -((s_ + t_) / (2.0 * q)) * sim
-    das = _das_2x2(system, q0, ref=0)
-    return ModelInstance(
-        "pt_matrix", params, h, sim, [e_m, e_p], phase, disc,
-        analytic_system=system,
-        analytic_metric=MetricOperator(eta, "analytic"),
-        das_data=das,
-        extras={"q_factor": q},
-    )
+    return _two_level("pt_matrix", p, h, sim, p.discriminant(),
+                      max(abs(s_ * t_), big_r ** 2), r * math.cos(th), 1.0,
+                      closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +297,10 @@ def _dirac_similarity(mc2: float, cp: float, v0: float) -> np.ndarray:
     The one-parameter family alpha (cp+v0) - delta (cp-v0) = 2 m c^2 beta
     (with beta = gamma) contains [[1, v0/mc^2], [v0/mc^2, 1]] for massive
     particles and diag(cp-v0, cp+v0) otherwise; pick whichever is farther
-    from singular.
+    from singular.  Both are singular where |v0| = mc^2 = |cp| (or mc^2 = 0
+    and |v0| = |cp|); there their sum [[mc^2+cp-v0, v0], [v0, mc^2+cp+v0]],
+    of determinant (mc^2+cp)^2 - 2 v0^2, intertwines H and is singular only
+    at H = 0.
     """
     cands = []
     if mc2 > 0:
@@ -347,12 +312,16 @@ def _dirac_similarity(mc2: float, cp: float, v0: float) -> np.ndarray:
                   m2))
     cands.sort(key=lambda kv: -kv[0])
     best_det, best = cands[0]
-    if best_det <= 1e-14:
-        raise InvalidParams(
-            "no invertible similarity operator at these parameters "
-            "(exceptional point)"
-        )
-    return best
+    if best_det > 1e-14:
+        return best
+    scale3 = mc2 + scale2
+    if scale3 > 0 and abs((mc2 + cp) ** 2 - 2.0 * v0 ** 2) > 1e-14 * scale3 ** 2:
+        return np.array([[mc2 + cp - v0, v0], [v0, mc2 + cp + v0]],
+                        dtype=complex)
+    raise InvalidParams(
+        "no invertible similarity operator at these parameters "
+        "(exceptional point)"
+    )
 
 
 def dirac_scalar(p: DiracParams) -> ModelInstance:
@@ -360,46 +329,31 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
     cp = p.c * p.hbar * p.kx
     v0 = p.v0
     h = np.array([[mc2, cp + v0], [cp - v0, -mc2]], dtype=complex)
-    sim = _dirac_similarity(mc2, cp, v0)
-    disc = p.discriminant()
-    scale = max(cp ** 2 + mc2 ** 2, 1.0)
-    phase = _classify_disc(disc, scale)
-    params = {"m0": p.m0, "c": p.c, "hbar": p.hbar, "kx": p.kx, "v0": p.v0}
 
-    if phase == PHASE_BROKEN:
-        e = math.sqrt(-disc)
-        vals = [-1j * e, 1j * e]
-        return ModelInstance("dirac_scalar", params, h, sim, vals, phase, disc)
-    if phase == PHASE_EXCEPTIONAL:
-        return ModelInstance("dirac_scalar", params, h, sim, [0j, 0j], phase, disc)
+    def closed_forms(e):
+        big_m = e + mc2
+        norm = math.sqrt(big_m / (2.0 * e))
+        # columns: the E = -e spinor, then E = +e
+        right = norm * np.array([[-(cp + v0) / big_m, 1.0],
+                                 [1.0, (cp - v0) / big_m]], dtype=complex)
+        left = norm * np.array([[-(cp - v0) / big_m, 1.0],
+                                [1.0, (cp + v0) / big_m]], dtype=complex)
+        eta = (big_m / (2.0 * e)) * np.array(
+            [[1.0 + (cp - v0) ** 2 / big_m ** 2, 2.0 * v0 / big_m],
+             [2.0 * v0 / big_m, 1.0 + (cp + v0) ** 2 / big_m ** 2]],
+            dtype=complex)
+        if abs(cp + v0) > 1e-3 * max(abs(cp) + abs(v0), 1.0):
+            q0 = np.diag([(cp - v0) / (cp + v0), 1.0]).astype(complex)
+        else:
+            # near the pole of that q0, where the assembly's rounding error
+            # grows like 1/|cp + v0|: the metric itself is a valid q0 (it
+            # maps the reference spinor to its adjoint partner)
+            q0 = eta
+        return right, left, eta, q0, {"energy": e}
 
-    e = math.sqrt(disc)
-    big_m = e + mc2
-    norm = math.sqrt(big_m / (2.0 * e))
-    # columns: the E = -e spinor, then E = +e
-    right = norm * np.array([[-(cp + v0) / big_m, 1.0],
-                             [1.0, (cp - v0) / big_m]], dtype=complex)
-    left = norm * np.array([[-(cp - v0) / big_m, 1.0],
-                            [1.0, (cp + v0) / big_m]], dtype=complex)
-    system = BiorthSystem(np.array([-e, e], dtype=complex), right, left)
-    eta = (big_m / (2.0 * e)) * np.array(
-        [[1.0 + (cp - v0) ** 2 / big_m ** 2, 2.0 * v0 / big_m],
-         [2.0 * v0 / big_m, 1.0 + (cp + v0) ** 2 / big_m ** 2]], dtype=complex)
-    if abs(cp + v0) > 1e-3 * max(abs(cp) + abs(v0), 1.0):
-        q0 = np.diag([(cp - v0) / (cp + v0), 1.0]).astype(complex)
-    else:
-        # near the pole of that q0, where the assembly's rounding error
-        # grows like 1/|cp + v0|: the metric itself is a valid q0 (it maps
-        # the reference spinor to its adjoint partner)
-        q0 = eta
-    das = _das_2x2(system, q0, ref=0)
-    return ModelInstance(
-        "dirac_scalar", params, h, sim, [-e + 0j, e + 0j], phase, disc,
-        analytic_system=system,
-        analytic_metric=MetricOperator(eta, "analytic"),
-        das_data=das,
-        extras={"energy": e},
-    )
+    return _two_level("dirac_scalar", p, h, _dirac_similarity(mc2, cp, v0),
+                      p.discriminant(), cp ** 2 + mc2 ** 2, 0.0, 1.0,
+                      closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +421,21 @@ def _parse_params(family: str, params: dict):
 
 
 def build(family: str, params: dict) -> ModelInstance:
-    """Instantiate a model family from a flat parameter mapping."""
+    """Instantiate a model family from a flat parameter mapping, checking
+    once that its S intertwines its H to 1e-12 (AssertionError otherwise;
+    SingularMatrix for a singular S).  jc_full's S and H are direct sums, so
+    its residual covers every doublet."""
     p, levels = _parse_params(family, params)
-    if family == "jc_doublet":
-        return jc_doublet(p)
     if family == "jc_full":
-        return jc_full(p, levels=levels)
-    if family == "pt_matrix":
-        return pt_matrix(p)
-    return dirac_scalar(p)
+        inst = jc_full(p, levels=levels)
+    else:
+        inst = {"jc_doublet": jc_doublet, "pt_matrix": pt_matrix,
+                "dirac_scalar": dirac_scalar}[family](p)
+    resid = check_pseudo_hermitian(inst.hamiltonian, inst.similarity)
+    if resid > 1e-12:
+        raise AssertionError(
+            f"model {family} violates pseudo-Hermiticity: {resid:.3e}")
+    return inst
 
 
 def discriminant(family: str, params: dict) -> float:

@@ -530,6 +530,16 @@ def test_evolve_broken_growth_rate(capsys):
     assert abs(doc["results"]["growth_rate"] - gamma) / gamma < 0.01
 
 
+def test_evolve_no_growth_rate_at_exceptional_point(capsys):
+    # at an EP the norm grows like a power of t, so an exponential rate fit
+    # to the trailing window would depend only on --tmax
+    doc = run_json(capsys, ["evolve", "--model", "jc_doublet", "--params",
+                            "n=0,eps=0.5,omega=1,rho=0.25", "--allow-broken",
+                            "--steps", "21"])
+    assert doc["results"]["classification"] == "exceptional"
+    assert "growth_rate" not in doc["results"]
+
+
 def test_evolve_overflow_exit_4(capsys):
     # the growing mode overflows long before t = 1e4
     code, _, err = run(capsys, ["evolve", "--model", "jc_doublet",
@@ -659,6 +669,25 @@ def test_model_show(capsys):
     vals = [as_complex(v) for v in res["eigenvalues"]]
     root = math.sqrt(0.1875) / 2.0
     assert abs(vals[0] - (0.5 - root)) < 1e-12
+
+
+@pytest.mark.parametrize("v0", ["1", "-1"])
+def test_model_show_dirac_where_both_candidates_are_singular(capsys, v0):
+    # |v0| = m0 c^2 = |c hbar k|: disc = 1, eigenvalues -1 and +1
+    doc = run_json(capsys, ["model", "show", "--model", "dirac_scalar",
+                            "--params", f"m0=1,kx=1,v0={v0}"])
+    res = doc["results"]
+    assert res["phase"] == "unbroken"
+    assert [as_complex(v) for v in res["eigenvalues"]] == [-1.0, 1.0]
+
+
+def test_massless_dirac_exceptional_point(capsys):
+    params = ["--model", "dirac_scalar", "--params", "m0=0,kx=1,v0=1"]
+    doc = run_json(capsys, ["model", "show", *params])
+    assert doc["results"]["phase"] == "exceptional"
+    code, _, err = run(capsys, ["metric", *params])
+    assert code == 3
+    assert json.loads(err)["error"] == "DefectiveSystem"
 
 
 # ---------------------------------------------------------------------------

@@ -41,3 +41,31 @@ def test_changed_constant_is_reported(tmp_path):
     assert differing["readme-metric"] == [f"stdout {change}"]
     assert differing["sweep-2d"] == [f"stdout {change}",
                                      f"file result.json {change}"]
+
+
+def test_experiment_scripts_run_against_each_tree(tmp_path):
+    scripts = [cmd for cmd in compare_outputs.COMMANDS
+               if cmd[1][0].startswith("scripts/")]
+    assert [name for name, _ in scripts] == ["script-run_phase_sweep",
+                                             "script-run_discrimination_scan"]
+    outcome = compare_outputs.run_command(ROOT, tmp_path, scripts[0][1])
+    assert outcome.code == 0
+    csvs = ["dirac_scalar_v0.csv", "jc_doublet_rho.csv", "pt_matrix_s.csv"]
+    assert sorted(outcome.files) == csvs
+    # the change tree's own script and package run: fewer digits in the
+    # sweep CSV show in every file it writes and nowhere else
+    shutil.copytree(ROOT / "src" / "metricforge",
+                    tmp_path / "src" / "metricforge",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "scripts", tmp_path / "scripts",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "metricforge" / "phase.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count('format(pt.params[n], ".17g")') == 1
+    path.write_text(text.replace('format(pt.params[n], ".17g")',
+                                 'format(pt.params[n], ".6g")'),
+                    encoding="utf-8")
+    differing = compare_outputs.compare_trees(ROOT, tmp_path, scripts[:1])
+    assert sorted(differing) == ["script-run_phase_sweep"]
+    assert {line.split()[1] for line in differing["script-run_phase_sweep"]} \
+        == set(csvs)

@@ -97,14 +97,11 @@ def test_evolve_refuses_overflow_naming_first_time():
         dynamics.evolve(h, np.array([0.6, 0.8j]), np.linspace(0.0, 1e4, 5))
 
 
-def test_evolution_csv_and_json():
+def test_evolution_csv():
     rec = dynamics.evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 1.0])
     lines = rec.to_csv().splitlines()
     assert lines[0] == "t,re_0,im_0,re_1,im_1,metric_norm,standard_norm"
     assert len(lines) == 3
-    obj = rec.to_jsonable()
-    assert obj["times"] == [0.0, 1.0]
-    assert obj["states"][0][0] == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,25 @@ def test_singular_matrix_raises():
 def test_non_finite_input_rejected():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        linalg.as_vector(np.array([1.0, 0.0, np.inf, 0.0], dtype=complex)[::2])
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_non_contiguous_input_matches_c_copy(n):
+    # a transposed, Fortran-ordered or strided complex input gives the bits
+    # of its C-ordered copy
+    rng = np.random.default_rng(300 + n)
+    h = random_complex(n, rng)
+    for got, want in zip(linalg.eigendecompose(h.T),
+                         linalg.eigendecompose(h.T.copy())):
+        assert got.value == want.value
+        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(got.left, want.left)
+    assert np.array_equal(linalg.inverse(np.asfortranarray(h)),
+                          linalg.inverse(h))
+    v = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    assert np.array_equal(linalg.as_vector(v[::2]), v[::2].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +254,9 @@ def test_hermitian_spectrum_matches_numpy_n128():
 
 @pytest.mark.parametrize("n", [2, 4, 16])
 def test_ql_iterations_bounded(monkeypatch, n):
-    # with the cap lowered to 8, every eigenvalue must converge within it
-    # (6 at most is seen on these inputs; the default cap is 30)
-    monkeypatch.setattr(linalg, "QL_MAX_ITERS", 8)
+    # with the budget lowered to 4 n per call, every spectrum must converge
+    # within it (3 n at most is seen on these inputs; the default is 30 n)
+    monkeypatch.setattr(linalg, "QL_MAX_ITERS", 4)
     rng = np.random.default_rng(4000 + n)
     for _ in range(40):
         a = random_complex(n, rng)
@@ -245,6 +264,19 @@ def test_ql_iterations_bounded(monkeypatch, n):
         eigs = linalg.hermitian_spectrum(h)
         assert np.allclose(eigs, npl.eigvalsh(h), rtol=0.0,
                            atol=1e-14 * linalg.frob(h))
+
+
+@pytest.mark.parametrize("n, s", [(32, 18), (32, 24), (64, 18), (64, 24)])
+def test_hermitian_spectrum_graded(n, s):
+    # G A G with A = B B^H + n I and G = diag(10^(s j / (2 (n - 1)))): the
+    # first eigenvalues can take more than 30 QL sweeps each, the rest few
+    rng = np.random.default_rng(100 * n + s)
+    b = random_complex(n, rng)
+    g = 10.0 ** (s * np.arange(n) / (2.0 * (n - 1)))
+    h = g[:, None] * (b @ b.conj().T + n * np.eye(n)) * g
+    h = (h + h.conj().T) / 2.0
+    assert np.allclose(linalg.hermitian_spectrum(h), npl.eigvalsh(h),
+                       rtol=0.0, atol=1e-14 * npl.norm(h, 2))
 
 
 def test_ql_cap_raises(monkeypatch):

@@ -13,8 +13,15 @@ from metricforge.errors import InvalidParams
 RNG = np.random.default_rng(20240813)
 
 
+def assert_intertwines(inst):
+    """S H = H^dagger S for every instance, broken and exceptional ones too
+    (models.build checks it once per build; the family functions do not)."""
+    assert metric.check_pseudo_hermitian(inst.hamiltonian, inst.similarity) < 1e-12
+
+
 def assert_instance_consistent(inst, atol=1e-9):
     """Oracle checks every unbroken instance must satisfy."""
+    assert_intertwines(inst)
     h = inst.hamiltonian
     scale = max(linalg.frob(h), 1.0)
     # eigenvalues against the numpy oracle
@@ -63,6 +70,7 @@ def test_jc_reference_point():
 def test_jc_broken_point():
     inst = models.jc_doublet(models.JCParams(rho=0.3))
     assert inst.phase == "broken"
+    assert_intertwines(inst)
     gamma = math.sqrt(0.11) / 2.0
     assert inst.analytic_eigenvalues[0] == pytest.approx(0.5 - 1j * gamma)
     assert inst.analytic_eigenvalues[1] == pytest.approx(0.5 + 1j * gamma)
@@ -75,6 +83,7 @@ def test_jc_exceptional_point():
     inst = models.jc_doublet(models.JCParams(rho=0.25))
     assert inst.phase == "exceptional"
     assert inst.analytic_metric is None
+    assert_intertwines(inst)
 
 
 def test_jc_invalid_params():
@@ -113,11 +122,29 @@ def test_jc_full_broken_when_any_doublet_breaks():
     # rho breaks the highest doublet first (rho_c shrinks with n)
     inst = models.jc_full(models.JCParams(rho=0.2), levels=3)
     assert inst.phase == "broken"
+    assert_intertwines(inst)
 
 
 def test_jc_full_needs_levels():
     with pytest.raises(InvalidParams):
         models.jc_full(models.JCParams(), levels=0)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 12])
+def test_jc_full_build_checks_once(monkeypatch, levels):
+    # one self-check of the whole S per build: a single LU of S, none per
+    # doublet (S and H are direct sums, so the full residual has every block's)
+    shapes = []
+    inverse = linalg.inverse
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return inverse(m)
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    inst = models.build("jc_full", {"levels": levels, "rho": 0.01})
+    assert inst.phase == "unbroken"
+    assert shapes == [(2 * levels + 1, 2 * levels + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +176,7 @@ def test_pt_exceptional():
     inst = models.pt_matrix(models.PTParams(r=1.0, s=1.0, t=1.0,
                                             theta=math.pi / 2, phi=0.0))
     assert inst.phase == "exceptional"
+    assert_intertwines(inst)
 
 
 def test_pt_unbroken_needs_positive_st():
@@ -182,13 +210,30 @@ def test_dirac_reference_point():
 
 def test_dirac_similarity_intertwines():
     for kx, v0 in [(0.0, 0.6), (0.8, 0.5), (1.5, 0.9), (0.3, 0.0)]:
-        inst = models.dirac_scalar(models.DiracParams(kx=kx, v0=v0))
-        assert metric.check_pseudo_hermitian(inst.hamiltonian, inst.similarity) < 1e-12
+        assert_intertwines(models.dirac_scalar(models.DiracParams(kx=kx, v0=v0)))
+
+
+@pytest.mark.parametrize("m0, kx, v0, phase", [
+    (1.0, 1.0, 1.0, "unbroken"), (1.0, 1.0, -1.0, "unbroken"),
+    (1.0, -1.0, 1.0, "unbroken"), (0.0, 1.0, 1.0, "exceptional")])
+def test_dirac_similarity_where_both_candidates_are_singular(m0, kx, v0, phase):
+    # |v0| = m0 c^2 = |c hbar k| (or m0 = 0 and |v0| = |c hbar k|) makes
+    # [[1, v0/m0c^2], [v0/m0c^2, 1]] and diag(cp - v0, cp + v0) singular;
+    # their sum intertwines H there and is invertible
+    inst = models.build("dirac_scalar", {"m0": m0, "kx": kx, "v0": v0})
+    assert inst.phase == phase
+    assert_intertwines(inst)
+    assert abs(npl.det(inst.similarity)) >= 1.0
+    if phase == "unbroken":
+        assert inst.analytic_eigenvalues == pytest.approx([-1.0, 1.0])
+        assert_instance_consistent(inst)
 
 
 def test_dirac_broken_and_exceptional():
-    assert models.dirac_scalar(models.DiracParams(kx=0.0, v0=2.0)).phase == "broken"
-    assert models.dirac_scalar(models.DiracParams(kx=0.0, v0=1.0)).phase == "exceptional"
+    for v0, phase in ((2.0, "broken"), (1.0, "exceptional")):
+        inst = models.dirac_scalar(models.DiracParams(kx=0.0, v0=v0))
+        assert inst.phase == phase
+        assert_intertwines(inst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -309,10 +354,12 @@ def test_discriminant_sign_matches_numeric_phase(family):
     checked = 0
     for _ in range(30):
         params = _random_params(family, rng)
+        inst = models.build(family, params)
+        assert_intertwines(inst)
         disc = models.discriminant(family, params)
         if abs(disc) <= 1e-4:
             continue
-        label = phase.classify(models.build(family, params).hamiltonian).classification
+        label = phase.classify(inst.hamiltonian).classification
         want = models.PHASE_UNBROKEN if disc > 0 else models.PHASE_BROKEN
         assert label == want, (params, disc)
         checked += 1
