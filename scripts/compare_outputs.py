@@ -62,6 +62,12 @@ INPUTS = {
                 "generators": [{"sigma": [[1, 0], [0, 1]]},
                                {"sigma": [[1, 0], [0, 1]]}],
                 "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}},
+    # malformed documents, each refused with exit 4
+    "family_list.json": {"model": {"family": ["jc_doublet"]}},
+    "params_number.json": {"model": {"family": "jc_doublet", "params": 5}},
+    "param_true.json": {"model": {"family": "jc_doublet",
+                                  "params": {"rho": True}}},
+    "entry_true.json": {"matrix": {"h": [[True, 0], [0, 1]]}},
 }
 
 # (family, params) at an unbroken point, an exact exceptional point and a
@@ -157,6 +163,21 @@ def _commands() -> list:
         ("exit3-jordan", ["metric", "--in", "jordan.json"]),
         ("exit4-das-not-identity", ["metric", "--in", "das_not_identity.json",
                                     "--method", "das"]),
+        ("exit4-family-list", ["metric", "--in", "family_list.json"]),
+        ("exit4-params-number", ["model", "show", "--in", "params_number.json"]),
+        ("exit4-param-true", ["metric", "--in", "param_true.json"]),
+        ("exit4-entry-true", ["metric", "--in", "entry_true.json",
+                              "--method", "spectral"]),
+        ("exit4-levels-above-cap", ["model", "show", "--model", "jc_full",
+                                    "--params", "levels=65"]),
+        # the massless Dirac model inside its exceptional band, where S is
+        # nearly singular: built, judged exceptional, refused by metric
+        ("model-show-dirac-massless-in-band",
+         ["model", "show", "--model", "dirac_scalar",
+          "--params", "m0=0,kx=1,v0=0.9999999999999"]),
+        ("metric-dirac-massless-in-band",
+         ["metric", "--model", "dirac_scalar",
+          "--params", "m0=0,kx=1,v0=0.9999999999999"]),
     ]
     for family in ("jc_doublet", "dirac_scalar", "pt_matrix"):
         for k in range(41):

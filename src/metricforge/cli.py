@@ -81,24 +81,14 @@ def dumps_canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _c2j(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _mat2j(m) -> list:
-    return [[_c2j(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _vec2j(v) -> list:
-    return [_c2j(z) for z in np.asarray(v, dtype=complex)]
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _entry_from_json(x) -> complex:
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return complex(x)
-    if (isinstance(x, list) and len(x) == 2
-            and all(isinstance(c, (int, float)) for c in x)):
+    if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
         return complex(x[0], x[1])
     raise InvalidParams(f"matrix entry {x!r} is neither a number nor [re, im]")
 
@@ -194,19 +184,17 @@ class ResolvedInput:
             self.instance = models.build(spec["family"],
                                          spec.get("params", {}) or {})
             self.h = self.instance.hamiltonian
-            self.s = self.instance.similarity
             self.das = self.instance.das_data
         else:
             spec = doc["matrix"]
             if not isinstance(spec, dict) or "h" not in spec:
                 raise InvalidParams("'matrix' needs an 'h' entry")
             self.h = _mat_from_json(spec["h"], "matrix.h")
-            self.s = (_mat_from_json(spec["s"], "matrix.s")
-                      if spec.get("s") is not None else None)
-            if self.s is not None:
-                if self.s.shape != self.h.shape:
+            if spec.get("s") is not None:
+                s = _mat_from_json(spec["s"], "matrix.s")
+                if s.shape != self.h.shape:
                     raise InvalidParams("matrix.s must match matrix.h in size")
-                resid = metric.check_pseudo_hermitian(self.h, self.s)
+                resid = metric.check_pseudo_hermitian(self.h, s)
                 if resid > herm_tol:  # a singular S raised SingularMatrix
                     raise InvalidParams(f"matrix.s does not intertwine "
                                         f"matrix.h: residual {resid:.3e}")
@@ -219,9 +207,13 @@ class ResolvedInput:
 
 
 def _model_spec(doc: dict) -> dict:
+    """The 'model' entry of an input document, the one reader of it for
+    every command: a string 'family' and, optionally, an object 'params'."""
     spec = doc["model"]
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise InvalidParams("'model' needs a 'family' and 'params'")
+    if (not isinstance(spec, dict) or not isinstance(spec.get("family"), str)
+            or not isinstance(spec.get("params") or {}, dict)):
+        raise InvalidParams("'model' needs a string 'family' and an object "
+                            "'params'")
     return spec
 
 
@@ -316,7 +308,7 @@ def _metric_entry(res: ResolvedInput, m: metric.MetricOperator,
                   tols: dict) -> dict:
     rep = metric.validate_metric(res.h, m, pos_tol=tols["pos_tol"])
     return {
-        "matrix": _mat2j(m.matrix),
+        "matrix": m.matrix,
         "method": m.method,
         "report": {
             "hermitian_residual": rep.hermitian_residual,
@@ -334,8 +326,7 @@ def _build_metrics(res: ResolvedInput, method: str, tols: dict) -> dict:
         _refuse(label, grounds)
     if method in ("spectral", "both"):  # a model's is its closed-form sum
         built["spectral"] = spectral or metric.spectral_metric(
-            res.instance.analytic_system, unit_lefts=False,
-            h_scale=max(linalg.frob(res.h), 1e-300), real_tol=tols["real_tol"])
+            res.instance.analytic_system, unit_lefts=False)
     if method in ("das", "both"):
         built["das"] = _das_from_input(res, tols)
     return built
@@ -452,10 +443,10 @@ def cmd_evolve(args, tols):
     std_dev = float(np.max(np.abs(rec.standard_norms - rec.standard_norms[0])))
     results = {
         "classification": label,
-        "psi0": _vec2j(psi0),
+        "psi0": psi0,
         "max_metric_norm_deviation": metric_dev if m is not None else None,
         "max_standard_norm_deviation": std_dev,
-        "metric_used": _mat2j(m.matrix) if m is not None else None,
+        "metric_used": m.matrix if m is not None else None,
     }
     if label == models.PHASE_BROKEN:  # at an EP the norm grows like a power of t
         results["growth_rate"] = dynamics.growth_rate(rec)
@@ -495,8 +486,8 @@ def cmd_discriminate(args, tols):
             "sin_theta": sin_theta,
             "theta": args.theta,
             "eps": args.eps,
-            "standard_overlap": _c2j(rep.standard_overlap),
-            "metric_overlap": _c2j(rep.metric_overlap),
+            "standard_overlap": rep.standard_overlap,
+            "metric_overlap": rep.metric_overlap,
             "distinguishability_gain": rep.distinguishability_gain,
         }
     return results, files, doc
@@ -510,12 +501,12 @@ def cmd_model_show(args, tols):
     results = {
         "family": inst.family,
         "params": inst.params,
-        "hamiltonian": _mat2j(inst.hamiltonian),
-        "similarity": _mat2j(inst.similarity),
-        "eigenvalues": [_c2j(v) for v in inst.analytic_eigenvalues],
+        "hamiltonian": inst.hamiltonian,
+        "similarity": inst.similarity,
+        "eigenvalues": inst.analytic_eigenvalues,
         "phase": inst.phase,
         "discriminant": inst.discriminant,
-        "metric": (_mat2j(inst.analytic_metric.matrix)
+        "metric": (inst.analytic_metric.matrix
                    if inst.analytic_metric is not None else None),
         "extras": {k: v for k, v in inst.extras.items()
                    if isinstance(v, (int, float, str, list))},

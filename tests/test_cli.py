@@ -350,6 +350,71 @@ def test_parse_errors_exit_4(capsys):
         assert json.loads(err)["error"] == "InvalidParams"
 
 
+_MODEL_ROUTES = {
+    "metric": ["metric"], "validate": ["validate"], "compare": ["compare"],
+    "evolve": ["evolve"], "model-show": ["model", "show"],
+    "sweep": ["sweep", "--axis", "eps=0:0.5:3"],
+    "ep": ["ep", "--param", "eps", "--lo", "0", "--hi", "2"],
+}
+_MATRIX_ROUTES = {"metric": ["metric", "--method", "spectral"],
+                  "validate": ["validate"], "evolve": ["evolve"]}
+_MALFORMED = [
+    pytest.param(doc, argv, id=f"{name}-{route}")
+    for name, doc, routes in (
+        ("family-list", {"model": {"family": ["jc_doublet"]}}, _MODEL_ROUTES),
+        ("params-number", {"model": {"family": "jc_doublet", "params": 5}},
+         _MODEL_ROUTES),
+        ("param-true", {"model": {"family": "jc_doublet",
+                                  "params": {"rho": True}}}, _MODEL_ROUTES),
+        ("n-false", {"model": {"family": "jc_doublet",
+                               "params": {"n": False}}}, _MODEL_ROUTES),
+        ("h-entry-true", {"matrix": {"h": [[True, 0], [0, 1]]}},
+         _MATRIX_ROUTES),
+        ("h-pair-false", {"matrix": {"h": [[[1, False], 0], [0, 1]]}},
+         _MATRIX_ROUTES))
+    for route, argv in routes.items()]
+
+
+@pytest.mark.parametrize("doc, argv", _MALFORMED)
+def test_malformed_document_exit_4(capsys, tmp_path, doc, argv):
+    # a non-string family or non-object params, and a boolean where a
+    # number belongs, are refused on every route, not read as 1 or 0
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [*argv, "--in", str(path)])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "show", "--model", "jc_full", "--params", "levels=65"],
+    ["metric", "--model", "jc_full", "--params", "levels=1000"],
+    ["evolve", "--model", "jc_full", "--params", "levels=100000"],
+    ["sweep", "--model", "jc_full", "--params", "levels=1000",
+     "--axis", "rho=0:0.1:3"],
+    ["ep", "--model", "jc_full", "--params", "levels=1000", "--param", "rho",
+     "--lo", "0", "--hi", "0.5"],
+    ["model", "show", "--model", "jc_full", "--params", "levels=0"],
+], ids=["show-65", "metric-1000", "evolve-1e5", "sweep-fixed", "ep", "zero"])
+def test_levels_above_cap_exit_4(capsys, monkeypatch, argv):
+    # refused before anything is allocated: building more levels than the
+    # cap fails the test instead
+    jc_full = models.jc_full
+
+    def capped(p, levels):
+        if levels > models.MAX_LEVELS:
+            pytest.fail(f"built {levels} levels")
+        return jc_full(p, levels)
+
+    monkeypatch.setattr(models, "jc_full", capped)
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+    # the cap itself is accepted
+    assert math.isfinite(models.discriminant("jc_full",
+                                             {"levels": models.MAX_LEVELS}))
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", *JC_ARGS, "--hbar", "0"],
     ["evolve", *JC_ARGS, "--tmax", "nan"],
@@ -617,8 +682,9 @@ def _matrix_doc(path, n=8):
 
 # kernel calls per command: evolve decomposes a matrix input once for the
 # label and the metric, as metric does, and once more in the propagator; a
-# model input is judged by its discriminant and never decomposed for its
-# metric; a scan checks its metric once, and compare validates neither metric
+# model input is judged by its discriminant, never decomposed for its metric
+# and never LU-factored for its S; a scan checks its metric once, and
+# compare validates neither metric
 @pytest.mark.parametrize("argv, counts", [
     (["metric", "--in", None, "--method", "spectral"],
      {"eigendecompose": 1, "inverse": 1, "hermitian_spectrum": 1,
@@ -626,18 +692,19 @@ def _matrix_doc(path, n=8):
     (["evolve", "--in", None],
      {"eigendecompose": 2, "inverse": 2, "hermitian_spectrum": 0,
       "biorthonormalize": 1, "spectral_metric": 1, "validate_metric": 0}),
-    (["evolve", *JC_ARGS],  # judged by its discriminant; the model's
-     # self-check of S makes one inverse, the propagator the other
-     {"eigendecompose": 1, "inverse": 2, "hermitian_spectrum": 0,
+    (["evolve", *JC_ARGS],  # judged by its discriminant; the one inverse
+     # is the propagator's
+     {"eigendecompose": 1, "inverse": 1, "hermitian_spectrum": 0,
       "biorthonormalize": 0, "spectral_metric": 0, "validate_metric": 0}),
-    (["metric", *JC_ARGS, "--method", "both"],  # closed forms only
-     {"eigendecompose": 0, "inverse": 3, "hermitian_spectrum": 2,
+    (["metric", *JC_ARGS, "--method", "both"],  # closed forms only; das:
+     # one inverse per sigma
+     {"eigendecompose": 0, "inverse": 2, "hermitian_spectrum": 2,
       "biorthonormalize": 0, "spectral_metric": 1, "validate_metric": 2}),
     (["discriminate", "--eps", "0.05", "--axis", "theta=0:1.5707963267948966:91"],
      {"eigendecompose": 0, "inverse": 0, "hermitian_spectrum": 1,
       "biorthonormalize": 0, "spectral_metric": 0, "validate_metric": 0}),
     (["compare", *JC_ARGS],  # das: one inverse per sigma
-     {"eigendecompose": 0, "inverse": 3, "hermitian_spectrum": 0,
+     {"eigendecompose": 0, "inverse": 2, "hermitian_spectrum": 0,
       "biorthonormalize": 0, "spectral_metric": 1, "validate_metric": 0}),
 ], ids=["metric-in-n8", "evolve-in-n8", "evolve-model", "metric-model",
         "discriminate-axis", "compare"])
@@ -682,12 +749,19 @@ def test_model_show_dirac_where_both_candidates_are_singular(capsys, v0):
 
 
 def test_massless_dirac_exceptional_point(capsys):
-    params = ["--model", "dirac_scalar", "--params", "m0=0,kx=1,v0=1"]
-    doc = run_json(capsys, ["model", "show", *params])
-    assert doc["results"]["phase"] == "exceptional"
-    code, _, err = run(capsys, ["metric", *params])
-    assert code == 3
-    assert json.loads(err)["error"] == "DefectiveSystem"
+    # at the EP and inside its band (discriminant 2e-13, S = diag(1e-13, 2)
+    # nearly singular but built): the model's discriminant judges every route
+    for v0 in ("1", "0.9999999999999"):
+        params = ["--model", "dirac_scalar", "--params", f"m0=0,kx=1,v0={v0}"]
+        doc = run_json(capsys, ["model", "show", *params])
+        assert doc["results"]["phase"] == "exceptional"
+        for command in ("metric", "compare", "evolve"):
+            code, _, err = run(capsys, [command, *params])
+            assert code == 3, (v0, command)
+            assert json.loads(err)["error"] == "DefectiveSystem"
+        doc = run_json(capsys, ["sweep", "--model", "dirac_scalar", "--params",
+                                "m0=0,kx=1", "--axis", f"v0={v0}:{v0}:1"])
+        assert doc["results"]["diagram"]["points"][0]["error"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,16 @@ RNG = np.random.default_rng(20240813)
 
 
 def assert_intertwines(inst):
-    """S H = H^dagger S for every instance, broken and exceptional ones too
-    (models.build checks it once per build; the family functions do not)."""
-    assert metric.check_pseudo_hermitian(inst.hamiltonian, inst.similarity) < 1e-12
+    """S H = H^dagger S to 1e-12 relative, with S of full rank, for every
+    instance, broken and exceptional ones too: the only check of the
+    families' closed-form S (models.build makes none).  The residual is
+    formed without the LU of metric.check_pseudo_hermitian, whose pivot
+    threshold refuses the nearly singular S of the massless Dirac model
+    next to its EP."""
+    h, s = inst.hamiltonian, inst.similarity
+    resid = linalg.frob(s @ h - h.conj().T @ s)
+    assert resid < 1e-12 * linalg.frob(s) * linalg.frob(h) or resid == 0.0
+    assert npl.matrix_rank(s) == len(s)
 
 
 def assert_instance_consistent(inst, atol=1e-9):
@@ -130,21 +137,44 @@ def test_jc_full_needs_levels():
         models.jc_full(models.JCParams(), levels=0)
 
 
-@pytest.mark.parametrize("levels", [1, 2, 12])
-def test_jc_full_build_checks_once(monkeypatch, levels):
-    # one self-check of the whole S per build: a single LU of S, none per
-    # doublet (S and H are direct sums, so the full residual has every block's)
-    shapes = []
-    inverse = linalg.inverse
+# (family, params, phase): each family unbroken, at an exact EP and broken
+_PHASE_POINTS = [
+    ("jc_doublet", {"n": 0, "eps": 0.5, "omega": 1, "rho": 0.125}, "unbroken"),
+    ("jc_doublet", {"n": 0, "eps": 0.5, "omega": 1, "rho": 0.25}, "exceptional"),
+    ("jc_doublet", {"n": 0, "eps": 0.5, "omega": 1, "rho": 0.3}, "broken"),
+    *(("jc_full", {"levels": levels, "rho": 0.01}, "unbroken")
+      for levels in (1, 2, 12)),
+    ("jc_full", {"levels": 4, "eps": 0.5, "omega": 1, "rho": 0.125},
+     "exceptional"),
+    ("jc_full", {"levels": 3, "eps": 0.5, "omega": 1, "rho": 0.2}, "broken"),
+    ("pt_matrix", {"r": 1, "theta": 0.5, "s": 1, "t": 1, "phi": 0.3},
+     "unbroken"),
+    ("pt_matrix", {"r": 1, "theta": math.pi / 2, "s": 1, "t": 1, "phi": 0},
+     "exceptional"),
+    ("pt_matrix", {"r": 1, "theta": 1.2, "s": 0.5, "t": 0.5, "phi": 0},
+     "broken"),
+    ("dirac_scalar", {"m0": 1, "kx": 0.3, "v0": 0.5}, "unbroken"),
+    ("dirac_scalar", {"m0": 1, "kx": 0, "v0": 1}, "exceptional"),
+    ("dirac_scalar", {"m0": 0, "kx": 1, "v0": 0.9999999999999}, "exceptional"),
+    ("dirac_scalar", {"m0": 1, "kx": 0.3, "v0": 1.5}, "broken"),
+]
 
-    def counted(m):
-        shapes.append(np.shape(m))
-        return inverse(m)
 
-    monkeypatch.setattr(linalg, "inverse", counted)
-    inst = models.build("jc_full", {"levels": levels, "rho": 0.01})
-    assert inst.phase == "unbroken"
-    assert shapes == [(2 * levels + 1, 2 * levels + 1)]
+@pytest.mark.parametrize("family, params, want", _PHASE_POINTS, ids=[
+    f"{f}-levels{p['levels']}-{w}" if f == "jc_full"
+    else f"{f}-massless-{w}" if p.get("m0") == 0 else f"{f}-{w}"
+    for f, p, w in _PHASE_POINTS])
+def test_build_makes_no_inverse(monkeypatch, family, params, want):
+    # a build parses its parameters and evaluates the closed forms: no LU
+    # of S, no self-check (the tests prove S H = H^dagger S instead)
+    def refused(*args, **kwargs):
+        pytest.fail("models.build factored or checked S")
+
+    monkeypatch.setattr(linalg, "inverse", refused)
+    monkeypatch.setattr(metric, "check_pseudo_hermitian", refused)
+    inst = models.build(family, params)
+    assert inst.phase == want
+    assert_intertwines(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +357,43 @@ def test_jc_full_ep_is_where_the_top_doublet_breaks():
                        (1.01 * ep, models.PHASE_BROKEN)):
         h = models.build("jc_full", {**params, "rho": rho}).hamiltonian
         assert phase.classify(h).classification == label
+
+
+_ENERGIES = {"jc_doublet": ("epsilon", "omega", "rho"),
+             "jc_full": ("epsilon", "omega", "rho"),
+             "pt_matrix": ("r", "s", "t"), "dirac_scalar": ("m0", "kx", "v0")}
+
+
+def _near_ep_params(family, delta):
+    """A point at relative distance delta from the family's EP (unbroken
+    for delta > 0); the massless Dirac point has a nearly singular S."""
+    if family in ("jc_doublet", "jc_full"):
+        levels = 12 if family == "jc_full" else 1
+        p = {"epsilon": 0.5, "omega": 1.0,
+             "rho": 0.25 * (1.0 - delta) / math.sqrt(levels)}
+        return {**p, "levels": levels} if family == "jc_full" else p
+    if family == "pt_matrix":
+        return {"r": 1.0, "theta": 0.5, "t": 1.0, "phi": 0.0,
+                "s": math.sin(0.5) ** 2 * (1.0 + delta)}
+    return {"m0": 0.0, "kx": 1.0, "v0": 1.0 - delta}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_intertwines_at_every_scale(family, scale):
+    # random points in every phase (jc_full up to 12 levels) and points on
+    # both sides of the EP band, at energies scaled by 1e-6, 1 and 1e6
+    rng = np.random.default_rng(20261020)
+    points = [_random_params(family, rng) for _ in range(40)]
+    if family == "jc_full":
+        for p in points:
+            p["levels"] = int(rng.integers(1, 13))
+    points += [_near_ep_params(family, d)
+               for d in (1e-6, 1e-13, 0.0, -1e-13, -1e-6)]
+    for params in points:
+        scaled = {k: v * scale if k in _ENERGIES[family] else v
+                  for k, v in params.items()}
+        assert_intertwines(models.build(family, scaled))
 
 
 def _random_params(family, rng):
