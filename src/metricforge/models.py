@@ -14,10 +14,15 @@ Normalization conventions:
   that makes the spectral sum reproduce the stored closed-form metric
   (unit norm for the spin-oscillator doublet and the 2x2 PT matrix,
   relativistic spinor normalization for the Dirac model);
-* the Dirac similarity operator is [[1, v0/m0c^2], [v0/m0c^2, 1]] or
-  diag(c p - v0, c p + v0) (_dirac_similarity); note that the
-  antisymmetric candidate [[0, -1], [1, 0]] anti-intertwines
-  (S H = -H^dagger S) and is not a valid similarity;
+* the Dirac Hamiltonian is H = beta m c^2 + alpha c p + v0 J, with
+  beta = diag(1, -1), alpha = [[0, 1], [1, 0]] and J = [[0, 1], [-1, 0]]
+  = -J^dagger.  J anticommutes with beta and alpha, so the free Dirac
+  Hamiltonian S = beta m c^2 + alpha c p gives S H = S^2 + v0 S J =
+  S^2 - v0 J S = H^dagger S for every v0, and S^2 = (m^2 c^4 + c^2 p^2) I;
+  where m c^2 = c p = 0, S = beta (_dirac_similarity).  Every family's S
+  is thus Hermitian and an involution up to a positive scale.  Note that
+  the antisymmetric [[0, -1], [1, 0]] anti-intertwines (S H = -H^dagger S)
+  and is not a valid similarity;
 * the Dirac reference metric for the projector route is
   diag((c p - v0)/(c p + v0), 1), which maps the reference spinor to its
   adjoint partner at every momentum.
@@ -252,16 +257,17 @@ def jc_full(p: JCParams, levels: int) -> ModelInstance:
 # ---------------------------------------------------------------------------
 
 def pt_matrix(p: PTParams) -> ModelInstance:
-    r, s_, t_, th, ph = p.r, p.s, p.t, p.theta, p.phi
-    h = np.array([[r * np.exp(1j * th), s_ * np.exp(1j * ph)],
-                  [t_ * np.exp(-1j * ph), r * np.exp(-1j * th)]])
+    r, th, ph = p.r, p.theta, p.phi
+    h = np.array([[r * np.exp(1j * th), p.s * np.exp(1j * ph)],
+                  [p.t * np.exp(-1j * ph), r * np.exp(-1j * th)]])
     sim = np.array([[0.0, np.exp(1j * ph)], [np.exp(-1j * ph), 0.0]])
     big_r = r * math.sin(th)
+    # unbroken means s t > r^2 sin^2 theta >= 0, so s and t share a sign;
+    # the closed forms are stated for s, t > 0, and D = diag(1, -1) maps
+    # them to s, t < 0, as D H(|s|, |t|) D = H(-|s|, -|t|)
+    s_, t_ = abs(p.s), abs(p.t)
 
     def closed_forms(q):
-        # unbroken means s t > r^2 sin^2 theta >= 0, so s and t share a sign
-        if s_ < 0:  # flip both signs into the (s>0, t>0) sheet of the quartic roots
-            raise InvalidParams("unbroken-phase formulas are stated for s, t > 0")
         e2, em = np.exp(1j * ph / 2.0), np.exp(-1j * ph / 2.0)
         pref = 1.0 / math.sqrt(s_ + t_)
         st4 = (s_ / t_) ** 0.25
@@ -280,6 +286,9 @@ def pt_matrix(p: PTParams) -> ModelInstance:
             [[t_, -1j * big_r * np.exp(1j * ph)],
              [1j * big_r * np.exp(-1j * ph), s_]])
         q0 = -((s_ + t_) / (2.0 * q)) * sim
+        if p.s < 0:
+            d = np.diag([1.0, -1.0])
+            right, left, eta, q0 = d @ right, d @ left, d @ eta @ d, d @ q0 @ d
         return right, left, eta, q0, {"q_factor": q}
 
     return _two_level("pt_matrix", p, h, sim, p.discriminant(),
@@ -291,37 +300,12 @@ def pt_matrix(p: PTParams) -> ModelInstance:
 # Dirac particle with scalar pseudo-Hermitian potential
 # ---------------------------------------------------------------------------
 
-def _dirac_similarity(mc2: float, cp: float, v0: float) -> np.ndarray:
-    """A Hermitian S with S H = H^dagger S for the Dirac matrix.
-
-    The one-parameter family alpha (cp+v0) - delta (cp-v0) = 2 m c^2 beta
-    (with beta = gamma) contains [[1, v0/mc^2], [v0/mc^2, 1]] for massive
-    particles and diag(cp-v0, cp+v0) otherwise; pick whichever is farther
-    from singular.  Both are singular where |v0| = mc^2 = |cp| (or mc^2 = 0
-    and |v0| = |cp|); there their sum [[mc^2+cp-v0, v0], [v0, mc^2+cp+v0]],
-    of determinant (mc^2+cp)^2 - 2 v0^2, intertwines H and is singular only
-    at H = 0.
-    """
-    cands = []
-    if mc2 > 0:
-        m1 = np.array([[1.0, v0 / mc2], [v0 / mc2, 1.0]], dtype=complex)
-        cands.append((abs(1.0 - (v0 / mc2) ** 2), m1))
-    m2 = np.array([[cp - v0, 0.0], [0.0, cp + v0]], dtype=complex)
-    scale2 = abs(cp) + abs(v0)
-    cands.append((abs(cp * cp - v0 * v0) / scale2 ** 2 if scale2 > 0 else 0.0,
-                  m2))
-    cands.sort(key=lambda kv: -kv[0])
-    best_det, best = cands[0]
-    if best_det > 1e-14:
-        return best
-    scale3 = mc2 + scale2
-    if scale3 > 0 and abs((mc2 + cp) ** 2 - 2.0 * v0 ** 2) > 1e-14 * scale3 ** 2:
-        return np.array([[mc2 + cp - v0, v0], [v0, mc2 + cp + v0]],
-                        dtype=complex)
-    raise InvalidParams(
-        "no invertible similarity operator at these parameters "
-        "(exceptional point)"
-    )
+def _dirac_similarity(mc2: float, cp: float) -> np.ndarray:
+    """S = beta m c^2 + alpha c p, the free Dirac Hamiltonian, or beta where
+    m c^2 = c p = 0: S H = H^dagger S for every v0 (module docstring)."""
+    if mc2 == 0.0 and cp == 0.0:
+        mc2 = 1.0
+    return np.array([[mc2, cp], [cp, -mc2]], dtype=complex)
 
 
 def dirac_scalar(p: DiracParams) -> ModelInstance:
@@ -351,7 +335,7 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
             q0 = eta
         return right, left, eta, q0, {"energy": e}
 
-    return _two_level("dirac_scalar", p, h, _dirac_similarity(mc2, cp, v0),
+    return _two_level("dirac_scalar", p, h, _dirac_similarity(mc2, cp),
                       p.discriminant(), cp ** 2 + mc2 ** 2, 0.0, 1.0,
                       closed_forms)
 

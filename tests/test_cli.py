@@ -524,16 +524,24 @@ def test_sweep_single_point(capsys, tmp_path):
     assert len((out_dir / "sweep.csv").read_text().splitlines()) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    # the base value of kx gives a singular similarity, but ep never uses it
-    ["ep", "--model", "dirac_scalar", "--params", "m0=0,kx=1,v0=1",
-     "--param", "kx", "--lo", "0.5", "--hi", "2"],
-    # s = t = -1 at the base point is refused by pt_matrix; the axis sets s > 0
-    ["sweep", "--model", "pt_matrix", "--params", "r=1,theta=0.5,s=-1,t=-1,phi=0",
-     "--axis", "s=0.5:1:3"],
+@pytest.mark.parametrize("argv, name, base", [
+    (["ep", "--model", "dirac_scalar", "--params", "m0=0,kx=1,v0=1",
+      "--param", "kx", "--lo", "0.5", "--hi", "2"], "kx", 1.0),
+    (["sweep", "--model", "pt_matrix", "--params",
+      "r=1,theta=0.5,s=-1,t=-1,phi=0", "--axis", "s=0.5:1:3"], "s", -1.0),
 ], ids=["ep", "sweep"])
-def test_overridden_base_value_is_not_built(capsys, argv):
+def test_overridden_base_value_is_not_built(capsys, monkeypatch, argv, name,
+                                            base):
+    # ep and sweep build or judge the model only at their own values of
+    # the varied parameter, never at its base value
+    seen = []
+    for attr in ("build", "discriminant"):
+        def wrapped(family, params, _inner=getattr(models, attr)):
+            seen.append(float(params[name]))
+            return _inner(family, params)
+        monkeypatch.setattr(models, attr, wrapped)
     doc = run_json(capsys, argv)
+    assert seen and base not in seen
     if argv[0] == "ep":
         assert doc["results"]["value"] == pytest.approx(1.0, abs=1e-9)
     else:
@@ -749,8 +757,8 @@ def test_model_show_dirac_where_both_candidates_are_singular(capsys, v0):
 
 
 def test_massless_dirac_exceptional_point(capsys):
-    # at the EP and inside its band (discriminant 2e-13, S = diag(1e-13, 2)
-    # nearly singular but built): the model's discriminant judges every route
+    # at the EP and inside its band (discriminant 2e-13): the model's
+    # discriminant judges every route
     for v0 in ("1", "0.9999999999999"):
         params = ["--model", "dirac_scalar", "--params", f"m0=0,kx=1,v0={v0}"]
         doc = run_json(capsys, ["model", "show", *params])

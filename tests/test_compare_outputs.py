@@ -2,6 +2,7 @@
 constant is reported field by field."""
 
 import importlib.util
+import math
 import pathlib
 import shutil
 import sys
@@ -69,3 +70,12 @@ def test_experiment_scripts_run_against_each_tree(tmp_path):
     assert sorted(differing) == ["script-run_phase_sweep"]
     assert {line.split()[1] for line in differing["script-run_phase_sweep"]} \
         == set(csvs)
+
+
+def test_nan_to_number_is_reported():
+    # a CSV cell that turns from nan into a number, or from inf into -inf,
+    # is an infinite change, not none
+    parent = b"x,y,z\nnan,inf,1\n"
+    change = b"x,y,z\n0,-inf,1\n"
+    assert compare_outputs.field_changes(parent, change, "t.csv") == {
+        "x[]": math.inf, "y[]": math.inf}

@@ -14,16 +14,18 @@ RNG = np.random.default_rng(20240813)
 
 
 def assert_intertwines(inst):
-    """S H = H^dagger S to 1e-12 relative, with S of full rank, for every
-    instance, broken and exceptional ones too: the only check of the
-    families' closed-form S (models.build makes none).  The residual is
-    formed without the LU of metric.check_pseudo_hermitian, whose pivot
-    threshold refuses the nearly singular S of the massless Dirac model
-    next to its EP."""
+    """S H = H^dagger S to 1e-12 relative, and S S^dagger = c I with c > 0
+    to 1e-14 relative, for every instance, broken and exceptional ones too:
+    the only check of the families' closed-form S (models.build makes
+    none).  The second makes S invertible with condition number 1, as each
+    family's S is an involution up to a positive scale."""
     h, s = inst.hamiltonian, inst.similarity
     resid = linalg.frob(s @ h - h.conj().T @ s)
     assert resid < 1e-12 * linalg.frob(s) * linalg.frob(h) or resid == 0.0
-    assert npl.matrix_rank(s) == len(s)
+    gram = s @ s.conj().T
+    c = gram[0, 0].real
+    assert c > 0.0
+    assert linalg.frob(gram - c * np.eye(len(s))) <= 1e-14 * c
 
 
 def assert_instance_consistent(inst, atol=1e-9):
@@ -209,9 +211,14 @@ def test_pt_exceptional():
     assert_intertwines(inst)
 
 
-def test_pt_unbroken_needs_positive_st():
-    with pytest.raises(InvalidParams):
-        models.pt_matrix(models.PTParams(r=0.1, s=-1.0, t=-1.0, theta=0.1))
+def test_pt_unbroken_with_negative_st():
+    # D = diag(1, -1) maps the closed forms at (|s|, |t|) to s, t < 0
+    for p in ({"r": 0.1, "s": -1.0, "t": -1.0, "theta": 0.1},
+              {"r": 1.0, "s": -1.0, "t": -1.0, "theta": 0.5, "phi": 0.0},
+              {"r": 0.7, "s": -2.0, "t": -0.5, "theta": 0.4, "phi": 0.9}):
+        inst = models.build("pt_matrix", p)
+        assert inst.phase == "unbroken"
+        assert_instance_consistent(inst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,10 +253,9 @@ def test_dirac_similarity_intertwines():
 @pytest.mark.parametrize("m0, kx, v0, phase", [
     (1.0, 1.0, 1.0, "unbroken"), (1.0, 1.0, -1.0, "unbroken"),
     (1.0, -1.0, 1.0, "unbroken"), (0.0, 1.0, 1.0, "exceptional")])
-def test_dirac_similarity_where_both_candidates_are_singular(m0, kx, v0, phase):
-    # |v0| = m0 c^2 = |c hbar k| (or m0 = 0 and |v0| = |c hbar k|) makes
-    # [[1, v0/m0c^2], [v0/m0c^2, 1]] and diag(cp - v0, cp + v0) singular;
-    # their sum intertwines H there and is invertible
+def test_dirac_similarity_where_v0_meets_mass_and_momentum(m0, kx, v0, phase):
+    # |v0| = m0 c^2 = |c hbar k| (or m0 = 0 and |v0| = |c hbar k|): S is
+    # still the free Dirac Hamiltonian, of determinant -(m0^2 + kx^2)
     inst = models.build("dirac_scalar", {"m0": m0, "kx": kx, "v0": v0})
     assert inst.phase == phase
     assert_intertwines(inst)
@@ -366,7 +372,7 @@ _ENERGIES = {"jc_doublet": ("epsilon", "omega", "rho"),
 
 def _near_ep_params(family, delta):
     """A point at relative distance delta from the family's EP (unbroken
-    for delta > 0); the massless Dirac point has a nearly singular S."""
+    for delta > 0)."""
     if family in ("jc_doublet", "jc_full"):
         levels = 12 if family == "jc_full" else 1
         p = {"epsilon": 0.5, "omega": 1.0,
@@ -381,8 +387,10 @@ def _near_ep_params(family, delta):
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("family", models.FAMILIES)
 def test_intertwines_at_every_scale(family, scale):
-    # random points in every phase (jc_full up to 12 levels) and points on
-    # both sides of the EP band, at energies scaled by 1e-6, 1 and 1e6
+    # random points in every phase (jc_full up to 12 levels), points on
+    # both sides of the EP band and, for the Dirac model, a grid around
+    # |v0| = m0 c^2 = |c hbar k| and m0 = kx = 0 with H = 0 or not, at
+    # energies scaled by 1e-6, 1 and 1e6
     rng = np.random.default_rng(20261020)
     points = [_random_params(family, rng) for _ in range(40)]
     if family == "jc_full":
@@ -390,6 +398,11 @@ def test_intertwines_at_every_scale(family, scale):
             p["levels"] = int(rng.integers(1, 13))
     points += [_near_ep_params(family, d)
                for d in (1e-6, 1e-13, 0.0, -1e-13, -1e-6)]
+    if family == "dirac_scalar":
+        points += [{"m0": 1.0, "kx": kx, "v0": sign * (1.0 + d * 10.0 ** -e)}
+                   for kx in (1.0, -1.0) for sign in (1.0, -1.0)
+                   for d in (1.0, -1.0) for e in range(4, 14)]
+        points += [{"m0": 0.0, "kx": 0.0, "v0": v0} for v0 in (0.0, 0.3)]
     for params in points:
         scaled = {k: v * scale if k in _ENERGIES[family] else v
                   for k, v in params.items()}
