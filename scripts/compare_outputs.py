@@ -203,6 +203,26 @@ def _commands() -> list:
         ("compare-pt-negative-st",
          ["compare", "--model", "pt_matrix",
           "--params", "r=1,theta=0.5,s=-1,t=-1,phi=0"]),
+        # exit-4 refusals: a second source of sin theta_1, a doublet other
+        # than n = 0 (the discrimination metric's first block is doublet 0),
+        # --params beside --in, an n for jc_full, an axis given twice
+        ("exit4-discriminate-model-and-sin-theta",
+         ["discriminate", "--model", "jc_doublet", "--params", "rho=0.1",
+          "--sin-theta", "0.9"]),
+        ("exit4-discriminate-doublet-2",
+         ["discriminate", "--model", "jc_doublet",
+          "--params", "n=2,eps=0.5,omega=1,rho=0.1"]),
+        ("exit4-params-without-model",
+         ["metric", "--in", "system.json", "--method", "spectral",
+          "--params", "rho=7"]),
+        ("exit4-jc_full-n", ["model", "show", "--model", "jc_full",
+                             "--params", "levels=1,n=5"]),
+        ("exit4-sweep-repeated-axis",
+         ["sweep", "--model", "jc_doublet", "--axis", "rho=0:0.1:2",
+          "--axis", "rho=0.3:0.4:2"]),
+        ("exit4-sweep-repeated-axis-alias",
+         ["sweep", "--model", "jc_doublet", "--axis", "eps=0:0.5:2",
+          "--axis", "epsilon=0.6:0.7:2"]),
     ]
     for family in ("jc_doublet", "dirac_scalar", "pt_matrix"):
         for k in range(41):

@@ -152,6 +152,8 @@ def _load_input(args) -> dict:
     given_model = getattr(args, "model", None)
     if given_file and given_model:
         raise InvalidParams("give either --in or --model, not both")
+    if getattr(args, "params", None) is not None and not given_model:
+        raise InvalidParams("--params needs --model")
     if given_file:
         try:
             with open(given_file, "r", encoding="utf-8") as fh:
@@ -424,8 +426,8 @@ def cmd_ep(args, tols):
 
 def cmd_evolve(args, tols):
     res = ResolvedInput(_load_input(args), tols["herm_tol"])
-    if args.steps < 2:
-        raise InvalidParams("--steps must be >= 2")
+    if not 2 <= args.steps <= MAX_GRID_POINTS:
+        raise InvalidParams(f"--steps must be in 2..{MAX_GRID_POINTS}")
     label, grounds, m = _judge(res, tols)
     if not args.allow_broken:
         _refuse(label, grounds, "; pass --allow-broken to evolve anyway")
@@ -454,42 +456,37 @@ def cmd_evolve(args, tols):
 
 
 def cmd_discriminate(args, tols):
+    """sin theta_1 comes from --sin-theta (0.5 by default) or from an n = 0
+    jc_doublet input, never from both: the metric's first block is doublet
+    0 (dynamics.assemble_discrimination_metric)."""
     sin_theta = args.sin_theta
     doc = None
-    if args.model or args.infile:  # only a jc_doublet carries a sin theta
+    if args.model or args.infile or args.params is not None:
         doc = _load_input(args)
+        if sin_theta is not None:
+            raise InvalidParams("give --sin-theta or a model input, not both")
         res = ResolvedInput(doc, tols["herm_tol"])
-        if res.instance is None or res.instance.family != "jc_doublet":
-            raise InvalidParams("discriminate reads sin theta from a "
+        if (res.instance is None or res.instance.family != "jc_doublet"
+                or res.instance.params["n"] != 0):
+            raise InvalidParams("discriminate reads sin theta from an n = 0 "
                                 "jc_doublet model input only")
         label, grounds, _ = _judge(res, tols)
         _refuse(label, grounds)
         sin_theta = res.instance.extras["sin_theta"]
+    elif sin_theta is None:
+        sin_theta = 0.5
     m = dynamics.assemble_discrimination_metric(sin_theta)
-    files = {}
+    results, files = {"sin_theta": sin_theta, "eps": args.eps}, {}
     if args.axis:
         name, values = _parse_axis(args.axis)
         if name != "theta":
             raise AxisError("discriminate scans only over theta")
         scan = dynamics.orthogonality_scan(values, args.eps, m)
-        results = {
-            "sin_theta": sin_theta,
-            "eps": args.eps,
-            "zero_crossings": scan.zero_crossings,
-            "rows": len(scan.rows),
-        }
+        results.update(zero_crossings=scan.zero_crossings, rows=len(scan.rows))
         files["scan.csv"] = scan.to_csv()
-    else:
+    else:  # the record: theta, both overlaps and the gain
         pair = dynamics.build_entangled_pair(args.theta, args.eps)
-        rep = dynamics.discriminate(pair, m)
-        results = {
-            "sin_theta": sin_theta,
-            "theta": args.theta,
-            "eps": args.eps,
-            "standard_overlap": rep.standard_overlap,
-            "metric_overlap": rep.metric_overlap,
-            "distinguishability_gain": rep.distinguishability_gain,
-        }
+        results.update(vars(dynamics.discriminate(pair, m)))
     return results, files, doc
 
 
@@ -508,8 +505,7 @@ def cmd_model_show(args, tols):
         "discriminant": inst.discriminant,
         "metric": (inst.analytic_metric.matrix
                    if inst.analytic_metric is not None else None),
-        "extras": {k: v for k, v in inst.extras.items()
-                   if isinstance(v, (int, float, str, list))},
+        "extras": inst.extras,
     }
     return results, {}, res.doc
 
@@ -581,10 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--theta", type=_finite, default=math.pi / 3)
     p.add_argument("--eps", type=_finite, default=0.05)
-    p.add_argument("--sin-theta", type=_finite, default=0.5,
-                   help="doublet mixing used in the 4x4 metric "
-                        "(read from a jc_doublet model input instead, the "
-                        "only input discriminate accepts)")
+    p.add_argument("--sin-theta", type=_finite,
+                   help="doublet-0 mixing used in the 4x4 metric (default "
+                        "0.5), or read from an n = 0 jc_doublet model "
+                        "input, the only input discriminate accepts")
     p.add_argument("--axis", metavar="theta=START:STOP:COUNT",
                    help="scan theta instead of a single evaluation")
     p.set_defaults(handler=cmd_discriminate)

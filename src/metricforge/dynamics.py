@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, phase
-from .errors import NotPositive
+from .errors import NotHermitian, NotPositive
 from .linalg import as_matrix, as_vector
 from .metric import MetricOperator, metric_inner_product
 
@@ -183,6 +183,7 @@ def assemble_discrimination_metric(sin_theta1: float) -> MetricOperator:
 
 @dataclass(frozen=True)
 class DiscriminationReport:
+    theta: float  # the pair's; also each row of orthogonality_scan
     standard_overlap: complex
     metric_overlap: complex
     distinguishability_gain: float  # |standard|^2 - |metric|^2
@@ -198,13 +199,16 @@ def _normalized_overlap(a: np.ndarray, b: np.ndarray,
 
 
 def _check_metric(m: MetricOperator, dim: int) -> None:
-    """NotPositive unless m is a Hermitian positive-definite dim x dim matrix."""
+    """NotPositive unless m is a Hermitian positive-definite dim x dim matrix
+    (Hermitian to linalg.HERM_TOL, as hermitian_spectrum judges it)."""
     mat = as_matrix(m.matrix)
     if mat.shape[0] != dim:
         raise ValueError("metric dimension does not match the pair's basis")
-    eigs = linalg.hermitian_spectrum((mat + mat.conj().T) / 2.0)
-    if (linalg.frob(mat - mat.conj().T)
-            > linalg.HERM_TOL * max(linalg.frob(mat), 1e-300) or eigs[0] <= 0.0):
+    try:
+        positive = linalg.hermitian_spectrum(mat)[0] > 0.0
+    except NotHermitian:
+        positive = False
+    if not positive:
         raise NotPositive("candidate metric is not Hermitian positive-definite")
 
 
@@ -213,6 +217,7 @@ def _overlaps(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport:
     std = _normalized_overlap(pair.psi1, pair.psi2, identity)
     met = _normalized_overlap(pair.psi1, pair.psi2, m)
     return DiscriminationReport(
+        theta=pair.theta,
         standard_overlap=std,
         metric_overlap=met,
         distinguishability_gain=abs(std) ** 2 - abs(met) ** 2,
@@ -231,16 +236,8 @@ def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    theta: float
-    standard_overlap: complex
-    metric_overlap: complex
-    distinguishability_gain: float
-
-
-@dataclass(frozen=True)
 class ScanResult:
-    rows: list[ScanRow]
+    rows: list[DiscriminationReport]  # discriminate's record per theta
     zero_crossings: list[float]  # theta values where Re(metric_overlap) = 0
 
     def to_csv(self) -> str:
@@ -265,13 +262,7 @@ def orthogonality_scan(thetas, eps: float, m: MetricOperator) -> ScanResult:
     """
     _check_metric(m, 4)  # the pair basis
     grid = [float(t) for t in thetas]
-    rows = []
-    for th in grid:
-        rep = _overlaps(build_entangled_pair(th, eps), m)
-        rows.append(ScanRow(theta=th,
-                            standard_overlap=rep.standard_overlap,
-                            metric_overlap=rep.metric_overlap,
-                            distinguishability_gain=rep.distinguishability_gain))
+    rows = [_overlaps(build_entangled_pair(th, eps), m) for th in grid]
 
     def f(th: float) -> float:
         return _overlaps(build_entangled_pair(th, eps), m).metric_overlap.real

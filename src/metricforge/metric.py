@@ -96,7 +96,8 @@ def biorthonormalize(raw: list[EigenPair], *,
     """Rescale eigendecompose's pairs to <left_m|right_n> = delta_mn.
 
     The right vectors, normalized to unit standard norm, are the columns of
-    R; the left vectors are the columns of (R^-1)^H, all from one LU of R.
+    R, in the order of the pairs (eigendecompose's (Re, Im) order); the left
+    vectors are the columns of (R^-1)^H, all from one LU of R.
     With unit right vectors, 1/||left_k|| is the overlap |<l_k|r_k>| of the
     unit pair, so the smallest of them is the defect indicator.
     DefectiveSystem (an exceptional point) is raised when it falls below
@@ -105,13 +106,12 @@ def biorthonormalize(raw: list[EigenPair], *,
     """
     if not raw:
         raise ValueError("empty eigensystem")
-    pairs = sorted(raw, key=lambda p: (p.value.real, p.value.imag))
-    r = np.column_stack([p.right for p in pairs])
+    r = np.column_stack([p.right for p in raw])
     r = r / np.sqrt(np.sum(np.abs(r) ** 2, axis=0))
     try:
         lefts = adjoint(linalg.inverse(r))
     except SingularMatrix:
-        smin = linalg.defect_indicator(pairs)
+        smin = linalg.defect_indicator(raw)
         raise DefectiveSystem(
             f"eigenvector matrix singular (self-overlap {smin:.3e}): "
             "eigensystem incomplete (exceptional point)",
@@ -124,7 +124,7 @@ def biorthonormalize(raw: list[EigenPair], *,
             "incomplete (exceptional point)",
             indicator=smin,
         )
-    return BiorthSystem(np.array([p.value for p in pairs], dtype=complex),
+    return BiorthSystem(np.array([p.value for p in raw], dtype=complex),
                         r, lefts)
 
 

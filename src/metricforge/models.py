@@ -202,7 +202,7 @@ def _direct_sum(first, blocks) -> np.ndarray:
 
 def jc_full(p: JCParams, levels: int) -> ModelInstance:
     """Truncated full model: the direct sum of the ground state and the first
-    `levels` doublets (p.n is not read).
+    `levels` doublets (p.n is not read; build refuses an n for jc_full).
 
     Basis order: |0,-1/2>, then {|n,+1/2>, |n+1,-1/2>} for n = 0..levels-1.
     """
@@ -347,9 +347,11 @@ def dirac_scalar(p: DiracParams) -> ModelInstance:
 _PARAM_TYPES = {"jc_doublet": JCParams, "jc_full": JCParams,
                 "pt_matrix": PTParams, "dirac_scalar": DiracParams}
 FAMILIES = tuple(_PARAM_TYPES)
-# accepted names: the fields of the family's record, plus the jc_full level count
+# accepted names: the fields of the family's record; jc_full takes its level
+# count in place of the doublet index n
 _PARAM_NAMES = {family: {f.name for f in fields(cls)}
                 for family, cls in _PARAM_TYPES.items()}
+_PARAM_NAMES["jc_full"].remove("n")
 _PARAM_NAMES["jc_full"].add("levels")
 _INT_KEYS = {"n", "levels"}
 _ALIASES = {"eps": "epsilon"}
@@ -372,11 +374,16 @@ def _check_param_names(family: str, names) -> None:
 
 def _check_fixed_params(family: str, params: dict, varied) -> None:
     """Raise InvalidParams for an unknown family, for a name in params or
-    varied that is not one of its parameters, or for a value in params
-    that _parse_params refuses; values that the names in varied (aliases
-    allowed) override are checked only by name.  Builds no model."""
+    varied that is not one of its parameters, for a parameter that varied
+    names twice (aliases resolved), or for a value in params that
+    _parse_params refuses; values that the names in varied override are
+    checked only by name.  Builds no model."""
     _check_param_names(family, [*params, *varied])
-    varied = {_ALIASES.get(k, k) for k in varied}
+    names = [_ALIASES.get(k, k) for k in varied]
+    twice = [k for k in names if names.count(k) > 1]
+    if twice:
+        raise InvalidParams(f"parameter {twice[0]!r} is varied twice")
+    varied = set(names)
     _parse_params(family, {k: v for k, v in params.items()
                            if _ALIASES.get(k, k) not in varied})
 

@@ -433,6 +433,74 @@ def test_non_finite_or_non_positive_numbers_exit_4(capsys, argv):
     assert json.loads(err)["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("argv", [
+    ["metric"], ["validate"], ["compare"], ["evolve", "--steps", "5"],
+    ["model", "show"], ["sweep", "--axis", "rho=0:0.5:3"],
+    ["ep", "--param", "rho", "--lo", "0", "--hi", "0.5"], ["discriminate"],
+], ids=["metric", "validate", "compare", "evolve", "model-show", "sweep",
+        "ep", "discriminate"])
+def test_params_without_model_exit_4(capsys, tmp_path, argv):
+    # --params is read only beside --model: with --in, or alone, it would
+    # be accepted and never read
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"model": {"family": "jc_doublet",
+                                          "params": {"rho": 0.1}}}))
+    for given in (["--in", str(path)], []):
+        code, out, err = run(capsys, [*argv, *given, "--params", "rho=0.2"])
+        assert code == 4 and out == ""
+        body = json.loads(err)
+        assert body["error"] == "InvalidParams"
+        assert body["message"] == "--params needs --model"
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "show", "--model", "jc_full", "--params", "levels=1,n=5"],
+    ["sweep", "--model", "jc_full", "--params", "levels=1",
+     "--axis", "n=0:3:4"],
+], ids=["model-show", "sweep"])
+def test_jc_full_refuses_doublet_index_exit_4(capsys, argv):
+    # jc_full takes levels; an n would be accepted and never read
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("axes", [
+    ["rho=0:0.1:2", "rho=0.3:0.4:2"],
+    ["eps=0:0.5:2", "epsilon=0.6:0.7:2"],
+], ids=["same-name", "alias-pair"])
+def test_sweep_repeated_axis_exit_4(capsys, monkeypatch, axes):
+    # the later axis would override the earlier at every point; refused
+    # before any model is built
+    monkeypatch.setattr(models, "build", lambda *a, **k: pytest.fail("built"))
+    argv = ["sweep", "--model", "jc_doublet"]
+    for axis in axes:
+        argv += ["--axis", axis]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
+
+
+def test_evolve_steps_above_cap_exit_4(capsys, monkeypatch):
+    # --steps is capped like every --axis grid, before the time grid is
+    # allocated: a grid above the cap fails the test instead
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 20)
+    linspace = np.linspace
+
+    def capped(start, stop, num, *args, **kwargs):
+        assert num <= 20, num
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", capped)
+    for steps in ("21", "1"):
+        code, out, err = run(capsys, ["evolve", *JC_ARGS, "--steps", steps])
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "InvalidParams"
+    # both ends of the range are accepted
+    for steps in ("20", "2"):
+        run_json(capsys, ["evolve", *JC_ARGS, "--steps", steps])
+
+
 def test_malformed_axis_exit_2(capsys):
     code, _, err = run(capsys, ["sweep", *JC_ARGS, "--axis", "rho=0:0.5"])
     assert code == 2
@@ -649,6 +717,26 @@ def test_discriminate_scan(capsys, tmp_path):
 def test_discriminate_sin_theta_from_model(capsys):
     doc = run_json(capsys, ["discriminate", *JC_ARGS])
     assert abs(doc["results"]["sin_theta"] - 0.5) < 1e-12
+
+
+def test_discriminate_sin_theta_flag(capsys):
+    assert run_json(capsys, ["discriminate"])["results"]["sin_theta"] == 0.5
+    doc = run_json(capsys, ["discriminate", "--sin-theta", "0.9"])
+    assert doc["results"]["sin_theta"] == 0.9
+
+
+@pytest.mark.parametrize("params, extra", [
+    ("rho=0.1", ["--sin-theta", "0.9"]),
+    ("n=2,eps=0.5,omega=1,rho=0.1", []),
+], ids=["model-and-flag", "doublet-2"])
+def test_discriminate_one_source_of_sin_theta_exit_4(capsys, params, extra):
+    # the metric's first block is doublet 0: its sin theta_1 comes from
+    # --sin-theta or from an n = 0 jc_doublet, never from both and never
+    # from another doublet (at n = 2 the model's sin theta_3 is 0.693)
+    code, out, err = run(capsys, ["discriminate", "--model", "jc_doublet",
+                                  "--params", params, *extra])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InvalidParams"
 
 
 @pytest.mark.parametrize("source", ["pt_matrix", "matrix", "jc_full"])

@@ -274,6 +274,23 @@ def test_discriminate_rejects_bad_metric():
         dynamics.assemble_discrimination_metric(1.5)
 
 
+def test_metric_with_anti_hermitian_part_is_not_positive():
+    # the Hermitian part is the identity, but ||M - M^H|| is far above
+    # HERM_TOL ||M||; a part below it is symmetrized away, as in
+    # linalg.hermitian_spectrum
+    pair = dynamics.build_entangled_pair(0.5, 0.01)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    bad = metric.MetricOperator(np.eye(4) + 1e-6 * skew, "analytic")
+    with pytest.raises(NotPositive):
+        dynamics.discriminate(pair, bad)
+    with pytest.raises(NotPositive):
+        dynamics.orthogonality_scan([0.5, 0.6], 0.01, bad)
+    near = metric.MetricOperator(np.eye(4) + 1e-13 * skew, "analytic")
+    scan = dynamics.orthogonality_scan([0.5], 0.01, near)
+    assert scan.rows == [dynamics.discriminate(pair, near)]
+
+
 def test_discriminate_dimension_mismatch():
     pair = dynamics.build_entangled_pair(0.5, 0.01)
     with pytest.raises(ValueError):
@@ -299,7 +316,7 @@ def test_scan_matches_pointwise_discriminate():
     scan = dynamics.orthogonality_scan(thetas, 0.05, m)
     for row in scan.rows:
         rep = dynamics.discriminate(dynamics.build_entangled_pair(row.theta, 0.05), m)
-        assert row.metric_overlap == rep.metric_overlap
+        assert row == rep  # the same record, bit for bit
 
 
 def test_scan_single_point_reduces_to_discriminate():

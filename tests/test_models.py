@@ -464,6 +464,7 @@ def test_build_alias_and_unknown():
     ("dirac_scalar", {"v0": "x"}),
     ("pt_matrix", {"theta": float("inf")}),
     ("jc_doublet", {"rho": float("nan")}),
+    ("jc_full", {"n": 1}),  # jc_full takes levels, not a doublet index
 ])
 def test_bad_params_rejected(family, params):
     for fn in (models.build, models.discriminant):
