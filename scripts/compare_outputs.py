@@ -205,13 +205,16 @@ def _commands() -> list:
           "--params", "r=1,theta=0.5,s=-1,t=-1,phi=0"]),
         # exit-4 refusals: a second source of sin theta_1, a doublet other
         # than n = 0 (the discrimination metric's first block is doublet 0),
-        # --params beside --in, an n for jc_full, an axis given twice
+        # --theta beside --axis, --params beside --in, an n for jc_full, an
+        # axis given twice
         ("exit4-discriminate-model-and-sin-theta",
          ["discriminate", "--model", "jc_doublet", "--params", "rho=0.1",
           "--sin-theta", "0.9"]),
         ("exit4-discriminate-doublet-2",
          ["discriminate", "--model", "jc_doublet",
           "--params", "n=2,eps=0.5,omega=1,rho=0.1"]),
+        ("exit4-discriminate-axis-and-theta",
+         ["discriminate", "--axis", "theta=0:1:3", "--theta", "0.3"]),
         ("exit4-params-without-model",
          ["metric", "--in", "system.json", "--method", "spectral",
           "--params", "rho=7"]),

@@ -458,13 +458,14 @@ def cmd_evolve(args, tols):
 def cmd_discriminate(args, tols):
     """sin theta_1 comes from --sin-theta (0.5 by default) or from an n = 0
     jc_doublet input, never from both: the metric's first block is doublet
-    0 (dynamics.assemble_discrimination_metric)."""
+    0 (dynamics.assemble_discrimination_metric).  Likewise theta comes
+    from --theta (pi/3 by default) or --axis, never from both."""
     sin_theta = args.sin_theta
     doc = None
     if args.model or args.infile or args.params is not None:
         doc = _load_input(args)
         if sin_theta is not None:
-            raise InvalidParams("give --sin-theta or a model input, not both")
+            raise InvalidParams("give --sin-theta or an input, not both")
         res = ResolvedInput(doc, tols["herm_tol"])
         if (res.instance is None or res.instance.family != "jc_doublet"
                 or res.instance.params["n"] != 0):
@@ -478,6 +479,8 @@ def cmd_discriminate(args, tols):
     m = dynamics.assemble_discrimination_metric(sin_theta)
     results, files = {"sin_theta": sin_theta, "eps": args.eps}, {}
     if args.axis:
+        if args.theta is not None:
+            raise InvalidParams("give --theta or --axis, not both")
         name, values = _parse_axis(args.axis)
         if name != "theta":
             raise AxisError("discriminate scans only over theta")
@@ -485,7 +488,8 @@ def cmd_discriminate(args, tols):
         results.update(zero_crossings=scan.zero_crossings, rows=len(scan.rows))
         files["scan.csv"] = scan.to_csv()
     else:  # the record: theta, both overlaps and the gain
-        pair = dynamics.build_entangled_pair(args.theta, args.eps)
+        theta = math.pi / 3 if args.theta is None else args.theta
+        pair = dynamics.build_entangled_pair(theta, args.eps)
         results.update(vars(dynamics.discriminate(pair, m)))
     return results, files, doc
 
@@ -575,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate",
                        help="entangled-pair overlap under the metric")
     _add_input_flags(p)
-    p.add_argument("--theta", type=_finite, default=math.pi / 3)
+    p.add_argument("--theta", type=_finite, help="default pi/3")
     p.add_argument("--eps", type=_finite, default=0.05)
     p.add_argument("--sin-theta", type=_finite,
                    help="doublet-0 mixing used in the 4x4 metric (default "

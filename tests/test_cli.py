@@ -725,18 +725,26 @@ def test_discriminate_sin_theta_flag(capsys):
     assert doc["results"]["sin_theta"] == 0.9
 
 
-@pytest.mark.parametrize("params, extra", [
-    ("rho=0.1", ["--sin-theta", "0.9"]),
-    ("n=2,eps=0.5,omega=1,rho=0.1", []),
-], ids=["model-and-flag", "doublet-2"])
-def test_discriminate_one_source_of_sin_theta_exit_4(capsys, params, extra):
+@pytest.mark.parametrize("argv", [
+    ["--model", "jc_doublet", "--params", "rho=0.1", "--sin-theta", "0.9"],
+    ["--model", "jc_doublet", "--params", "n=2,eps=0.5,omega=1,rho=0.1"],
+    ["--in", "h.json", "--sin-theta", "0.9"],
+    ["--axis", "theta=0:1:3", "--theta", "0.3"],
+], ids=["model-and-flag", "doublet-2", "matrix-and-flag", "theta-and-axis"])
+def test_discriminate_one_source_exit_4(capsys, tmp_path, monkeypatch, argv):
     # the metric's first block is doublet 0: its sin theta_1 comes from
     # --sin-theta or from an n = 0 jc_doublet, never from both and never
-    # from another doublet (at n = 2 the model's sin theta_3 is 0.693)
-    code, out, err = run(capsys, ["discriminate", "--model", "jc_doublet",
-                                  "--params", params, *extra])
+    # from another doublet (at n = 2 the model's sin theta_3 is 0.693);
+    # a scan reads its thetas from --axis, never from --theta as well
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.json").write_text(
+        json.dumps({"matrix": {"h": [[1, 0], [0, 2]]}}))
+    code, out, err = run(capsys, ["discriminate", *argv])
     assert code == 4 and out == ""
-    assert json.loads(err)["error"] == "InvalidParams"
+    body = json.loads(err)
+    assert body["error"] == "InvalidParams"
+    # the message names no model input unless one was given
+    assert "model" not in body["message"] or "--model" in argv
 
 
 @pytest.mark.parametrize("source", ["pt_matrix", "matrix", "jc_full"])
