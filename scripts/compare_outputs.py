@@ -226,6 +226,21 @@ def _commands() -> list:
         ("exit4-sweep-repeated-axis-alias",
          ["sweep", "--model", "jc_doublet", "--axis", "eps=0:0.5:2",
           "--axis", "epsilon=0.6:0.7:2"]),
+        # a parameter given twice in --params, by one name or as an alias
+        # pair
+        ("exit4-params-repeated",
+         ["model", "show", "--model", "jc_doublet",
+          "--params", "rho=0.1,rho=0.2"]),
+        ("exit4-params-alias-pair",
+         ["metric", "--model", "jc_doublet", "--params", "eps=0.5,epsilon=0.3"]),
+        # the edges of the stacked 2x2 judge: sizes it does not take (jc_full,
+        # 3x3 to 7x7), and energies near 1e-120, which it rescales
+        ("sweep-jc_full-levels",
+         ["sweep", "--model", "jc_full", "--params", "eps=0.5,omega=1,rho=0.1",
+          "--axis", "levels=1:3:3", "--out", "out/sweep-jc_full-levels"]),
+        ("sweep-jc_doublet-near-1e-120",
+         ["sweep", "--model", "jc_doublet", "--params", "n=0,eps=5e-121,omega=1e-120",
+          "--axis", "rho=0:5e-121:11", "--out", "out/sweep-jc_doublet-near-1e-120"]),
     ]
     for family in ("jc_doublet", "dirac_scalar", "pt_matrix"):
         for k in range(41):

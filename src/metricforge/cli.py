@@ -139,8 +139,11 @@ def _parse_kv_params(text: str) -> dict:
         if "=" not in item:
             raise InvalidParams(f"--params entry {item!r} is not name=value")
         k, v = item.split("=", 1)
+        k = k.strip()
+        if k in out:
+            raise InvalidParams(f"--params gives {k!r} twice")
         try:
-            out[k.strip()] = float(v)
+            out[k] = float(v)
         except ValueError:
             raise InvalidParams(f"--params value {v!r} is not a number") from None
     return out

@@ -19,13 +19,8 @@ import numpy as np
 
 from . import linalg, phase
 from .errors import NotHermitian, NotPositive
-from .linalg import as_matrix, as_vector
+from .linalg import STACK_ENTRIES, as_matrix, as_vector
 from .metric import MetricOperator, metric_inner_product
-
-
-# matrix entries per propagator stack in evolve (16 MB of complex128), so
-# its memory grows with the number of time points like the states' own
-STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Everything downstream (metric construction, phase classification, time
 evolution) runs on the kernels in this module: partial-pivot LU inversion,
 a general complex eigensolver (one complex Schur form for every n, closed
 form at 2x2 and Hessenberg + shifted QR above, with eigenvectors by
-triangular back-substitution), Hermitian spectra by Householder
+triangular back-substitution; the 2x2 closed form, _eig2_system, also
+takes a stack of matrices, which phase judges in one pass, and gives each
+matrix the bits it gives alone), Hermitian spectra by Householder
 tridiagonalization and implicit QL, and the matrix exponential
 (diagonalization, or Pade-13 scaling and squaring).  The
 eigensolver only decomposes; metric.biorthonormalize alone refuses an
@@ -31,6 +33,10 @@ DEFECT_TOL = 1e-8
 SINGULAR_TOL = 1e-13
 COND_MAX = 1e8
 QL_MAX_ITERS = 30  # times n, per tridiagonal QL call (LAPACK xSTEQR)
+# matrix entries per stack that one broadcast step holds (16 MB of
+# complex128): the propagators of dynamics.evolve, the 2x2 Hamiltonians of
+# phase.sweep
+STACK_ENTRIES = 1 << 20
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -71,7 +77,8 @@ class EigenPair:
     computed for this eigenvalue from the same Schur form of M, so they pair
     by construction.  eigendecompose's element type, read only by
     metric.biorthonormalize (which returns a metric.BiorthSystem of paired
-    columns), defect_indicator, exp_propagator and phase.label_spectrum."""
+    columns), defect_indicator, exp_propagator and phase.label_spectrum
+    (above 2x2; phase judges a 2x2 from the arrays of _eig2_system)."""
 
     value: complex
     right: np.ndarray
@@ -129,27 +136,118 @@ def inverse(m) -> np.ndarray:
 # Eigendecomposition
 # ---------------------------------------------------------------------------
 
-def _eig2_values(a: np.ndarray):
-    """Eigenvalues c +- sqrt(((a00 - a11)/2)^2 + a01 a10) of a 2x2, centred
-    on the mean c of the diagonal: a nearly scalar diagonal keeps its split
-    to working accuracy, where tr^2 - 4 det would cancel."""
-    c = (a[0, 0] + a[1, 1]) / 2.0
-    half = (a[0, 0] - a[1, 1]) / 2.0
-    disc = np.sqrt(complex(half * half + a[0, 1] * a[1, 0]))
+def _cmul(x, y):
+    """x * y for two complex scalars or two arrays, rounded as numpy's
+    scalar complex product is: two real products, then their difference or
+    sum.  The vectorized complex product may fuse a multiply with the add,
+    so a stack of matrices would not keep the bits each matrix gives
+    alone."""
+    if not isinstance(x, np.ndarray):
+        return x * y
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _eig2_values(a00, a01, a10, a11):
+    """Eigenvalues c +- sqrt(((a00 - a11)/2)^2 + a01 a10) of the 2x2
+    matrices [[a00, a01], [a10, a11]], given by their entries (scalars, or
+    arrays over a stack), centred on the mean c of the diagonal: a nearly
+    scalar diagonal keeps its split to working accuracy, where
+    tr^2 - 4 det would cancel."""
+    c = (a00 + a11) / 2.0
+    half = (a00 - a11) / 2.0
+    disc = np.sqrt(_cmul(half, half) + _cmul(a01, a10))
     return c + disc, c - disc
 
 
-def _eig2_vector(a: np.ndarray, lam: complex) -> np.ndarray:
-    """Right eigenvector of a 2x2 for eigenvalue lam (null vector of a-lam)."""
-    b = a - lam * np.eye(2)
-    # choose the larger row for stability
-    r0 = np.array([b[0, 1], -b[0, 0]])
-    r1 = np.array([b[1, 1], -b[1, 0]])
-    v = r0 if frob(r0.reshape(1, 2)) >= frob(r1.reshape(1, 2)) else r1
-    nv = np.sqrt(np.sum(np.abs(v) ** 2))
-    if nv == 0.0:  # a is lam*I
-        return np.array([1.0 + 0j, 0.0 + 0j])
-    return v / nv
+def _eig2_vector(a: np.ndarray, lam) -> np.ndarray:
+    """Unit right eigenvectors (..., 2) of the 2x2 matrices a (..., 2, 2)
+    for the eigenvalues lam (...): the null vector of a - lam I from its
+    larger row, for stability, or e_0 where a = lam I."""
+    b = a - np.asarray(lam)[..., None, None] * np.eye(2)
+    # row i of b turned a quarter: [b_i1, -b_i0], orthogonal to row i
+    rows = np.stack([b[..., :, 1], -b[..., :, 0]], axis=-1)
+    norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1))
+    first = norms[..., 0] >= norms[..., 1]
+    v = np.where(first[..., None], rows[..., 0, :], rows[..., 1, :])
+    nv = np.where(first, norms[..., 0], norms[..., 1])
+    scalar = nv == 0.0
+    if not scalar.any():
+        return v / nv[..., None]
+    v = v / np.where(scalar, 1.0, nv)[..., None]
+    return np.where(scalar[..., None], np.array([1.0 + 0j, 0j]), v)
+
+
+def _schur2(m: np.ndarray):
+    """Complex Schur forms M = Z T Z^H of the 2x2 matrices m (..., 2, 2),
+    closed: Z's first column is the eigenvector of the first root from
+    _eig2_values, its second column the orthogonal complement, and both
+    roots are written on T's diagonal, so equal roots stay bit-equal;
+    T_10 is exactly 0.  T_01 = z1^H M z2 is two stacked matrix products,
+    which round as the products of one matrix do."""
+    l1, l2 = _eig2_values(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1])
+    z1 = _eig2_vector(m, l1)
+    z2 = np.stack([-z1[..., 1].conj(), z1[..., 0].conj()], axis=-1)
+    t = np.zeros(m.shape, dtype=complex)
+    t[..., 0, 0], t[..., 1, 1] = l1, l2
+    t[..., 0, 1] = (z1.conj()[..., None, :] @ m @ z2[..., None])[..., 0, 0]
+    return t, np.stack([z1, z2], axis=-1)
+
+
+def _triangular_eigvecs2(t: np.ndarray) -> np.ndarray:
+    """_triangular_eigvecs of the 2x2 matrices t (..., 2, 2) whose T_10 is
+    zero, closed: X = [[1, x], [0, 1]] with x = -T_01 / d, where the pivot
+    d = T_00 - T_11 is floored at eps ||T|| and the column is divided by
+    |x| above 1e100."""
+    eps = np.finfo(float).eps
+    floor = eps * np.maximum(
+        np.sqrt(np.sum(np.abs(t) ** 2, axis=(-2, -1))), 1e-300)
+    d = t[..., 0, 0] - t[..., 1, 1]
+    d = np.where(np.abs(d) < floor, floor, d)
+    x = np.zeros(t.shape, dtype=complex)
+    x[..., 0, 0] = x[..., 1, 1] = 1.0
+    x[..., 0, 1] = -t[..., 0, 1] / d
+    size = np.abs(x[..., 0, 1])
+    big = size > 1e100
+    if big.any():
+        col = x[..., :, 1] / np.where(big, size, 1.0)[..., None]
+        x[..., :, 1] = np.where(big[..., None], col, x[..., :, 1])
+    return x
+
+
+def _eig2_system(m: np.ndarray):
+    """_eigensystem of the finite 2x2 matrices m (..., 2, 2): eigenvalues
+    (..., 2), unit right and left eigenvectors (the columns of two
+    (..., 2, 2) arrays) and factors (...), each matrix bit for bit the one
+    it gives alone, from the closed forms."""
+    fa = np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    zero = fa == 0.0
+    extreme = (fa < 1e-100) | (fa > 1e100)
+    factor = np.where(extreme, fa, 1.0)
+    a = m
+    if extreme.any():
+        with np.errstate(divide="ignore", invalid="ignore"):  # fa = 0
+            scaled = m / factor[..., None, None]
+        # H = 0 runs the closed forms as I, whose eigenvalues factor = 0
+        # zeroes
+        a = np.where(zero[..., None, None], np.eye(2),
+                     np.where(extreme[..., None, None], scaled, m))
+    t, z = _schur2(a)
+    # M = Z T Z^H: right vectors Z X from T; left vectors Z Y from T^H,
+    # which is upper triangular after reversing its rows and columns
+    x = _triangular_eigvecs2(np.stack(
+        [t, np.swapaxes(t.conj(), -1, -2)[..., ::-1, ::-1]], axis=-3))
+    rights = z @ x[..., 0, :, :]
+    lefts = z @ x[..., 1, ::-1, ::-1]
+    rights = rights / np.sqrt(np.sum(np.abs(rights) ** 2, axis=-2, keepdims=True))
+    lefts = lefts / np.sqrt(np.sum(np.abs(lefts) ** 2, axis=-2, keepdims=True))
+    if zero.any():
+        eye = np.eye(2, dtype=complex)
+        rights = np.where(zero[..., None, None], eye, rights)
+        lefts = np.where(zero[..., None, None], eye, lefts)
+    return np.stack([t[..., 0, 0], t[..., 1, 1]], axis=-1), rights, lefts, factor
 
 
 def _reflector(x: np.ndarray):
@@ -189,7 +287,8 @@ def _hessenberg(m: np.ndarray):
 
 def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
     """Eigenvalue of the trailing 2x2 closest to the corner entry."""
-    l1, l2 = _eig2_values(h[hi - 1:hi + 1, hi - 1:hi + 1])
+    l1, l2 = _eig2_values(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1],
+                          h[hi, hi])
     d = h[hi, hi]
     return l1 if abs(l1 - d) <= abs(l2 - d) else l2
 
@@ -206,18 +305,9 @@ def _schur(m: np.ndarray):
     the block, the columns above it and Z; the arithmetic inside the block
     does not depend on them.
 
-    A 2x2 needs no iteration: Z's first column is the eigenvector of the
-    first root from _eig2_values, its second column the orthogonal
-    complement, and both roots are written on T's diagonal, so equal roots
-    stay bit-equal.  A 1x1 returns T = M and Z = I.
+    A 1x1 returns T = M and Z = I; a 2x2 takes the closed form _schur2.
     """
     n = m.shape[0]
-    if n == 2:
-        l1, l2 = _eig2_values(m)
-        z1 = _eig2_vector(m, l1)
-        z2 = np.array([-z1[1].conjugate(), z1[0].conjugate()])
-        return (np.array([[l1, z1.conj() @ m @ z2], [0.0, l2]]),
-                np.column_stack([z1, z2]))
     h, z = _hessenberg(m)
     # Z stacked over H, so one column slice carries a rotation through Z
     # and through the rows of H down to the rotated pair
@@ -310,53 +400,55 @@ def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
     return x
 
 
-def _eigensystem(m: np.ndarray):
-    """Eigenvalues sorted by (Re, Im), with right and left eigenvectors in
-    the same order."""
-    t, z = _schur(m)
-    vals = np.diag(t).copy()
+def _eigensystem(a: np.ndarray):
+    """(values, rights, lefts, factor) of a finite n x n matrix, n != 2,
+    from one Schur form: the eigenvalues of M / factor, unsorted, and the
+    unit right and left eigenvectors as columns.  The factor is the
+    Frobenius norm where that lies outside [1e-100, 1e100] (subnormal or
+    huge entries break the fixed absolute thresholds inside the QR
+    kernel), else 1.  H = 0 gives the identity pairs and factor 0."""
+    n = a.shape[0]
+    fa = frob(a)
+    if fa == 0.0:
+        eye = np.eye(n, dtype=complex)
+        return np.ones(n, dtype=complex), eye, eye, 0.0
+    factor = 1.0
+    if fa < 1e-100 or fa > 1e100:
+        factor = fa
+        a = a / fa
+    t, z = _schur(a)
     # M = Z T Z^H: right vectors Z X from T; left vectors Z Y from T^H,
     # which is upper triangular after reversing its rows and columns
     rights = z @ _triangular_eigvecs(t)
     lefts = z @ _triangular_eigvecs(t.conj().T[::-1, ::-1])[::-1, ::-1]
     rights /= np.sqrt(np.sum(np.abs(rights) ** 2, axis=0))
     lefts /= np.sqrt(np.sum(np.abs(lefts) ** 2, axis=0))
-    order = np.lexsort((vals.imag, vals.real))
-    return (vals[order], [rights[:, k].copy() for k in order],
-            [lefts[:, k].copy() for k in order])
+    return np.diag(t), rights, lefts, factor
 
 
 def eigendecompose(m) -> list[EigenPair]:
     """Full eigendecomposition with left eigenvectors.
 
-    One Schur form M = Z T Z^H (closed form at 2x2, one Hessenberg +
-    shifted QR run above); for every n the right vectors are Z X and the left
-    vectors Z Y, where X and Y are the eigenvectors of T and T^H from
-    triangular back-substitution over all eigenvalues at once (the LAPACK
-    xTREVC approach), so pair k holds the right and left vectors of
-    eigenvalue k, each of unit norm.  Eigenvalues are sorted ascending by
-    (Re, Im).  Raises NoConvergence when QR fails.  At an exceptional point
-    a pair comes back numerically orthogonal (see defect_indicator); only
-    metric.biorthonormalize refuses it.
+    One Schur form M = Z T Z^H (closed at 2x2, where _eig2_system serves a
+    stack of matrices too; one Hessenberg + shifted QR run above); for
+    every n the right vectors are Z X and the left vectors Z Y, where X and
+    Y are the eigenvectors of T and T^H from triangular back-substitution
+    over all eigenvalues at once (the LAPACK xTREVC approach), so pair k
+    holds the right and left vectors of eigenvalue k, each of unit norm.
+    Eigenvalues are sorted ascending by (Re, Im).  Raises NoConvergence
+    when QR fails.  At an exceptional point a pair comes back numerically
+    orthogonal (see defect_indicator); only metric.biorthonormalize
+    refuses it.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("eigendecompose needs a square matrix")
-    n = a.shape[0]
-    fa = frob(a)
-    if fa == 0.0:
-        eye = np.eye(n, dtype=complex)
-        return [EigenPair(value=0j, right=eye[:, k].copy(),
-                          left=eye[:, k].copy()) for k in range(n)]
-    # normalize extreme magnitudes (subnormal or huge entries break the
-    # fixed absolute thresholds inside the QR kernel)
-    factor = 1.0
-    if fa < 1e-100 or fa > 1e100:
-        factor = fa
-        a = a / fa
-    vals, rights, lefts = _eigensystem(a)
-    return [EigenPair(value=complex(lam) * factor, right=r, left=l)
-            for lam, r, l in zip(vals, rights, lefts)]
+    solve = _eig2_system if a.shape[0] == 2 else _eigensystem
+    vals, rights, lefts, factor = solve(a)
+    order = np.lexsort((vals.imag, vals.real))
+    return [EigenPair(value=complex(vals[k]) * float(factor),
+                      right=rights[:, k].copy(), left=lefts[:, k].copy())
+            for k in order]
 
 
 def defect_indicator(pairs: list[EigenPair]) -> float:

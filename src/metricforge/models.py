@@ -360,39 +360,49 @@ _ALIASES = {"eps": "epsilon"}
 MAX_LEVELS = 64
 
 
-def _check_param_names(family: str, names) -> None:
-    """Raise InvalidParams for an unknown family, or for a name (aliases
-    allowed) that is not one of the family's parameters."""
+def _check_param_names(family: str, names, how: str = "given") -> None:
+    """Raise InvalidParams for an unknown family, for a name (aliases
+    allowed) that is not one of the family's parameters, or for a
+    parameter that names gives twice (aliases resolved), which the message
+    calls given or varied (how) twice."""
     if family not in _PARAM_TYPES:
         raise InvalidParams(f"unknown model family {family!r}")
     known = _PARAM_NAMES[family]
+    seen = set()
     for key in names:
-        if _ALIASES.get(key, key) not in known:
+        name = _ALIASES.get(key, key)
+        if name not in known:
             raise InvalidParams(f"unknown parameter {key!r} for {family}; "
                                 f"known: {', '.join(sorted(known))}")
+        if name in seen:
+            raise InvalidParams(f"parameter {name!r} is {how} twice")
+        seen.add(name)
+
+
+def _without(params: dict, names) -> dict:
+    """params less the parameters that names gives (aliases resolved), for
+    a caller that sets those itself."""
+    drop = {_ALIASES.get(k, k) for k in names}
+    return {k: v for k, v in params.items() if _ALIASES.get(k, k) not in drop}
 
 
 def _check_fixed_params(family: str, params: dict, varied) -> None:
     """Raise InvalidParams for an unknown family, for a name in params or
-    varied that is not one of its parameters, for a parameter that varied
-    names twice (aliases resolved), or for a value in params that
-    _parse_params refuses; values that the names in varied override are
-    checked only by name.  Builds no model."""
-    _check_param_names(family, [*params, *varied])
-    names = [_ALIASES.get(k, k) for k in varied]
-    twice = [k for k in names if names.count(k) > 1]
-    if twice:
-        raise InvalidParams(f"parameter {twice[0]!r} is varied twice")
-    varied = set(names)
-    _parse_params(family, {k: v for k, v in params.items()
-                           if _ALIASES.get(k, k) not in varied})
+    varied that is not one of its parameters, for a parameter that params
+    or varied names twice (aliases resolved), or for a value in params
+    that _parse_params refuses; values that the names in varied override
+    are checked only by name.  Builds no model."""
+    _check_param_names(family, params)
+    _check_param_names(family, varied, "varied")
+    _parse_params(family, _without(params, varied))
 
 
 def _parse_params(family: str, params: dict):
     """The family's parameter record and the jc_full level count (default 1)
     from a flat mapping.  Raises InvalidParams for an unknown family, an
-    unknown name, a value that is not a finite number (booleans included),
-    a non-integer n or levels, or levels outside 1..MAX_LEVELS."""
+    unknown name, two names of one parameter (eps and epsilon), a value
+    that is not a finite number (booleans included), a non-integer n or
+    levels, or levels outside 1..MAX_LEVELS."""
     _check_param_names(family, params)
     kw = {}
     for key, value in params.items():

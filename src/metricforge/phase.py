@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,59 @@ class PhaseDiagram:
         }
 
 
+def _label_2x2(hs: np.ndarray, *, real_tol: float, defect_tol: float):
+    """label_spectrum of each matrix of the stack hs (N, 2, 2), whose
+    entries and Frobenius norms are finite, in one broadcast pass over
+    linalg._eig2_system (eigendecompose's 2x2 case, bit for bit).
+
+    Returns arrays: the labels, max |Im E|, the defect indicators
+    (linalg.defect_indicator's arithmetic), the spectral metrics W W^H and
+    their minimum eigenvalues, where W holds the unit left vectors.  The
+    labels take label_spectrum's tests in its order.  biorthonormalize is
+    not needed: at n = 2 the self-overlap it refuses below defect_tol is
+    |det R| of the unit right vectors R, which is the defect indicator, and
+    its singular R (an LU pivot at most SINGULAR_TOL ||R||_F) has
+    |det R| <= sqrt(2) SINGULAR_TOL, below any defect_tol above that.
+    W W^H has the eigenvalues 1 +- |w_0^H w_1|, so
+    the smaller is |det W|^2 / (1 + |w_0^H w_1|), without the cancellation
+    of 1 - |w_0^H w_1|.
+    """
+    vals, rights, lefts, factor = linalg._eig2_system(hs)
+    scale = np.maximum(np.sqrt(np.sum(np.abs(hs) ** 2, axis=(-2, -1))), 1e-300)
+    max_imag = np.max(np.abs(vals.imag), axis=-1) * factor
+    # pair k as rows k of two contiguous arrays, so that <l_k|r_k> rounds
+    # as linalg.defect_indicator's product of two vectors does, and its
+    # modulus as the scalar abs() (np.abs of an array may round otherwise)
+    r = np.ascontiguousarray(np.swapaxes(rights, -1, -2))
+    w = np.ascontiguousarray(np.swapaxes(lefts, -1, -2))
+    overlap = (w.conj()[..., None, :] @ r[..., :, None])[..., 0, 0]
+    overlap = np.hypot(overlap.real, overlap.imag)
+    norms = (np.sqrt(np.sum(np.abs(w) ** 2, axis=-1))
+             * np.sqrt(np.sum(np.abs(r) ** 2, axis=-1)))
+    defect = np.minimum(
+        np.min(overlap / np.maximum(norms, 1e-300), axis=-1), 1.0)
+    labels = np.where(defect < defect_tol, PHASE_EXCEPTIONAL,
+                      np.where(max_imag > real_tol * scale, PHASE_BROKEN,
+                               PHASE_UNBROKEN))
+    w0, w1 = w[..., 0, :], w[..., 1, :]
+    gram = np.sum(w0.conj() * w1, axis=-1)
+    det = w0[..., 0] * w1[..., 1] - w0[..., 1] * w1[..., 0]
+    metrics = np.empty(hs.shape, dtype=complex)
+    metrics[..., 0, 0] = np.abs(w0[..., 0]) ** 2 + np.abs(w1[..., 0]) ** 2
+    metrics[..., 1, 1] = np.abs(w0[..., 1]) ** 2 + np.abs(w1[..., 1]) ** 2
+    metrics[..., 0, 1] = w0[..., 0] * w0[..., 1].conj() + w1[..., 0] * w1[..., 1].conj()
+    metrics[..., 1, 0] = metrics[..., 0, 1].conj()
+    return labels, max_imag, defect, metrics, np.abs(det) ** 2 / (1.0 + np.abs(gram))
+
+
 def label_spectrum(h, *, real_tol: float = REAL_TOL,
                    defect_tol: float = DEFECT_TOL):
     """The phase label of a matrix, from one eigendecompose: the judge of a
-    CLI matrix input and of each sweep point (a CLI model input is judged
-    by its exact discriminant, which can differ inside models._EP_BAND).
+    CLI matrix input and, through classify and sweep, of each sweep point
+    (a CLI model input is judged by its exact discriminant, which can
+    differ inside models._EP_BAND).  A 2x2 is judged by _label_2x2, the
+    judge of a sweep's stack; a 2x2 whose Frobenius norm overflows, and
+    every other size, here.
 
     Returns (label, max |Im E|, defect indicator, metric).  unbroken: real
     spectrum and a complete biorthogonal system; exceptional: a left/right
@@ -79,6 +128,13 @@ def label_spectrum(h, *, real_tol: float = REAL_TOL,
     unbroken H (h_scale ||H||_F) and None otherwise.
     """
     hm = linalg.as_matrix(h)
+    if _stacks(hm):
+        labels, max_imag, defect, metrics, _ = _label_2x2(
+            hm[None], real_tol=real_tol, defect_tol=defect_tol)
+        label = str(labels[0])
+        return (label, float(max_imag[0]), float(defect[0]),
+                metric.MetricOperator(metrics[0], "spectral")
+                if label == PHASE_UNBROKEN else None)
     scale = max(linalg.frob(hm), 1e-300)
     pairs = linalg.eigendecompose(hm)
     max_imag = float(max(abs(p.value.imag) for p in pairs))
@@ -95,11 +151,35 @@ def label_spectrum(h, *, real_tol: float = REAL_TOL,
     return PHASE_UNBROKEN, max_imag, defect, m
 
 
+def _classify_2x2(hs: np.ndarray, params: list, *, real_tol: float,
+                  defect_tol: float) -> list:
+    """classify of each matrix of the stack hs (N, 2, 2) that _label_2x2
+    takes, params[k] being the params of matrix k."""
+    labels, max_imag, defect, _, min_eig = _label_2x2(
+        hs, real_tol=real_tol, defect_tol=defect_tol)
+    return [PhasePoint(params=p, classification=label, min_imag_gap=mi,
+                       defect_indicator=d,
+                       metric_min_eig=e if label == PHASE_UNBROKEN else None)
+            for p, label, mi, d, e in zip(params, labels.tolist(),
+                                          max_imag.tolist(), defect.tolist(),
+                                          min_eig.tolist())]
+
+
+def _stacks(h) -> bool:
+    """Whether _label_2x2 takes h: 2x2, with finite entries and norm."""
+    return h.shape == (2, 2) and math.isfinite(linalg.frob(h))
+
+
 def classify(h, *, real_tol: float = REAL_TOL,
              defect_tol: float = DEFECT_TOL, params: dict | None = None) -> PhasePoint:
     """Classify the spectral phase of a matrix (label_spectrum), with the
-    minimum eigenvalue of the spectral metric at an unbroken point."""
-    label, max_imag, defect, m = label_spectrum(h, real_tol=real_tol,
+    minimum eigenvalue of the spectral metric at an unbroken point.  A 2x2
+    is the one-matrix case of a sweep's stack (_classify_2x2)."""
+    hm = linalg.as_matrix(h)
+    if _stacks(hm):
+        return _classify_2x2(hm[None], [dict(params or {})],
+                             real_tol=real_tol, defect_tol=defect_tol)[0]
+    label, max_imag, defect, m = label_spectrum(hm, real_tol=real_tol,
                                                 defect_tol=defect_tol)
     return PhasePoint(
         params=dict(params or {}),
@@ -136,8 +216,10 @@ def find_exceptional(family: str, base_params: dict, param: str,
     straddle the transition, in either order; an unknown family raises
     InvalidParams.
     """
+    base = models._without(base_params, [param])
+
     def disc(value: float) -> float:
-        p = dict(base_params)
+        p = dict(base)
         p[param] = value
         return models.discriminant(family, p)
 
@@ -157,26 +239,44 @@ def sweep(family: str, base_params: dict, axes: list, *,
           real_tol: float = REAL_TOL, defect_tol: float = DEFECT_TOL) -> PhaseDiagram:
     """Classify on the full cartesian grid, row-major over the axes.
 
-    Per-point failures are recorded in the point, never aborting the sweep.
+    Each point is built with models.build; a point whose build fails
+    records the error, never aborting the sweep.  The 2x2 Hamiltonians
+    with finite entries and norm are judged together, by _classify_2x2 on
+    stacks of at most linalg.STACK_ENTRIES matrix entries; any other point
+    by classify alone, a failure again recorded in the point.
     """
     if not axes or any(len(v) == 0 for _, v in axes):
         raise ValueError("grids must be non-empty")
     names = [n for n, _ in axes]
+    base = models._without(base_params, names)
+    grid = itertools.product(*[v for _, v in axes])
     points = []
-    for combo in itertools.product(*[v for _, v in axes]):
-        p = dict(base_params)
-        p.update(dict(zip(names, combo)))
-        coords = {n: float(c) for n, c in zip(names, combo)}
-        try:
-            inst = models.build(family, p)
-            pt = classify(inst.hamiltonian, real_tol=real_tol,
-                          defect_tol=defect_tol, params=coords)
-        except Exception as exc:  # record, keep sweeping
-            pt = PhasePoint(params=coords, classification="error",
-                            min_imag_gap=float("nan"),
-                            defect_indicator=float("nan"),
-                            error=f"{type(exc).__name__}: {exc}")
-        points.append(pt)
+    while block := list(itertools.islice(grid, linalg.STACK_ENTRIES // 4)):
+        judged = [None] * len(block)
+        stack, at = [], []
+        for k, combo in enumerate(block):
+            p = dict(base)
+            p.update(zip(names, combo))
+            coords = {n: float(c) for n, c in zip(names, combo)}
+            try:
+                h = models.build(family, p).hamiltonian
+                if _stacks(h):
+                    stack.append(h)
+                    at.append((k, coords))
+                else:
+                    judged[k] = classify(h, real_tol=real_tol,
+                                         defect_tol=defect_tol, params=coords)
+            except Exception as exc:  # record, keep sweeping
+                judged[k] = PhasePoint(params=coords, classification="error",
+                                       min_imag_gap=float("nan"),
+                                       defect_indicator=float("nan"),
+                                       error=f"{type(exc).__name__}: {exc}")
+        if stack:
+            pts = _classify_2x2(np.array(stack), [c for _, c in at],
+                                real_tol=real_tol, defect_tol=defect_tol)
+            for (k, _), pt in zip(at, pts):
+                judged[k] = pt
+        points += judged
     return PhaseDiagram(axes=[(n, [float(x) for x in v]) for n, v in axes],
                         points=points)
 

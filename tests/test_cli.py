@@ -415,6 +415,46 @@ def test_levels_above_cap_exit_4(capsys, monkeypatch, argv):
                                              {"levels": models.MAX_LEVELS}))
 
 
+_TWICE = {"same-name": "rho=0.1,rho=0.2", "alias-pair": "eps=0.5,epsilon=0.3"}
+_TWICE_ROUTES = {"model-show": ["model", "show"], "metric": ["metric"],
+                 "sweep": ["sweep", "--axis", "omega=1:2:3"]}
+
+
+@pytest.mark.parametrize("route, params", [
+    pytest.param(route, params, id=f"{route}-{name}")
+    for name, params in _TWICE.items() for route in _TWICE_ROUTES])
+def test_parameter_given_twice_exit_4(capsys, tmp_path, route, params):
+    # the later value would win silently; refused in --params and, for the
+    # alias pair, in an input document
+    argv = _TWICE_ROUTES[route]
+    given = [["--model", "jc_doublet", "--params", params]]
+    if params == _TWICE["alias-pair"]:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"model": {
+            "family": "jc_doublet", "params": {"eps": 0.5, "epsilon": 0.3}}}))
+        given.append(["--in", str(path)])
+    for source in given:
+        code, out, err = run(capsys, [*argv, *source])
+        assert code == 4 and out == ""
+        assert "twice" in json.loads(err)["message"]
+
+
+def test_axis_overrides_an_alias_of_itself(capsys):
+    # a fixed eps and a swept epsilon name one parameter: the axis sets it,
+    # as it sets a fixed value under its own name
+    for given in ("eps=0.9", "epsilon=0.9"):
+        doc = run_json(capsys, ["sweep", "--model", "jc_doublet", "--params",
+                                f"n=0,omega=1,rho=0.1,{given}",
+                                "--axis", "epsilon=0.5:0.5:1"])
+        point = doc["results"]["diagram"]["points"][0]
+        assert point["error"] is None
+        assert point["classification"] == "unbroken"
+    doc = run_json(capsys, ["ep", "--model", "jc_doublet", "--params",
+                            "n=0,omega=1,rho=0.125,eps=0.9",
+                            "--param", "epsilon", "--lo", "0", "--hi", "0.9"])
+    assert doc["results"]["value"] == pytest.approx(0.75, abs=1e-9)
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", *JC_ARGS, "--hbar", "0"],
     ["evolve", *JC_ARGS, "--tmax", "nan"],
@@ -787,8 +827,8 @@ def _matrix_doc(path, n=8):
 # kernel calls per command: evolve decomposes a matrix input once for the
 # label and the metric, as metric does, and once more in the propagator; a
 # model input is judged by its discriminant, never decomposed for its metric
-# and never LU-factored for its S; a scan checks its metric once, and
-# compare validates neither metric
+# and never LU-factored for its S; a scan checks its metric once, compare
+# validates neither metric, and a sweep judges its 2x2 points in one stack
 @pytest.mark.parametrize("argv, counts", [
     (["metric", "--in", None, "--method", "spectral"],
      {"eigendecompose": 1, "inverse": 1, "hermitian_spectrum": 1,
@@ -810,8 +850,16 @@ def _matrix_doc(path, n=8):
     (["compare", *JC_ARGS],  # das: one inverse per sigma
      {"eigendecompose": 0, "inverse": 2, "hermitian_spectrum": 0,
       "biorthonormalize": 0, "spectral_metric": 1, "validate_metric": 0}),
+    (["sweep", "--model", "jc_doublet", "--params", "n=0,omega=1",
+      "--axis", "rho=0:0.5:11", "--axis", "eps=0:1:5"],  # one stacked judge
+     {"eigendecompose": 0, "inverse": 0, "hermitian_spectrum": 0,
+      "biorthonormalize": 0, "spectral_metric": 0, "validate_metric": 0}),
+    (["sweep", "--model", "jc_full", "--params", "levels=2,eps=0.5,omega=1",
+      "--axis", "rho=0:0.1:3"],  # 5x5: the per-point judge
+     {"eigendecompose": 3, "inverse": 3, "hermitian_spectrum": 3,
+      "biorthonormalize": 3, "spectral_metric": 3, "validate_metric": 0}),
 ], ids=["metric-in-n8", "evolve-in-n8", "evolve-model", "metric-model",
-        "discriminate-axis", "compare"])
+        "discriminate-axis", "compare", "sweep-2x2", "sweep-jc_full"])
 def test_kernel_calls_per_command(capsys, monkeypatch, tmp_path, argv, counts):
     calls = dict.fromkeys(counts, 0)
     for module, names in (

@@ -227,6 +227,79 @@ def test_accuracy_near_exceptional_point():
     assert defects[0] > defects[1] > defects[2]
 
 
+def _reference_eig2(m):
+    """The 2x2 eigendecomposition written one matrix at a time with numpy
+    scalar arithmetic, as eigendecompose ran it before its closed form took
+    stacks: (sorted values, right columns, left columns)."""
+    fa = linalg.frob(m)
+    if fa == 0.0:
+        eye = np.eye(2, dtype=complex)
+        return np.zeros(2, dtype=complex), eye, eye
+    factor = fa if fa < 1e-100 or fa > 1e100 else 1.0
+    a = m / fa if factor != 1.0 else m
+
+    def vector(lam):
+        b = a - lam * np.eye(2)
+        r0 = np.array([b[0, 1], -b[0, 0]])
+        r1 = np.array([b[1, 1], -b[1, 0]])
+        v = r0 if linalg.frob(r0[None]) >= linalg.frob(r1[None]) else r1
+        nv = np.sqrt(np.sum(np.abs(v) ** 2))
+        return np.array([1.0 + 0j, 0j]) if nv == 0.0 else v / nv
+
+    c = (a[0, 0] + a[1, 1]) / 2.0
+    half = (a[0, 0] - a[1, 1]) / 2.0
+    disc = np.sqrt(complex(half * half + a[0, 1] * a[1, 0]))
+    l1, l2 = c + disc, c - disc
+    z1 = vector(l1)
+    z2 = np.array([-z1[1].conjugate(), z1[0].conjugate()])
+    t = np.array([[l1, z1.conj() @ a @ z2], [0.0, l2]])
+    z = np.column_stack([z1, z2])
+    rights = z @ linalg._triangular_eigvecs(t)
+    lefts = z @ linalg._triangular_eigvecs(t.conj().T[::-1, ::-1])[::-1, ::-1]
+    rights /= np.sqrt(np.sum(np.abs(rights) ** 2, axis=0))
+    lefts /= np.sqrt(np.sum(np.abs(lefts) ** 2, axis=0))
+    vals = np.diag(t)
+    order = np.lexsort((vals.imag, vals.real))
+    return (np.array([complex(lam) * factor for lam in vals[order]]),
+            rights[:, order], lefts[:, order])
+
+
+def _two_by_two_inputs():
+    rng = np.random.default_rng(2025)
+    cases = [random_complex(2, rng) for _ in range(40)]
+    cases += [random_complex(2, rng).real + 0j for _ in range(10)]
+    cases += [random_complex(2, rng) * 10.0 ** e for e in (-120, 120)]
+    cases += [(rng.standard_normal() + 1j) * np.eye(2),      # scalar
+              np.array([[1.0, 1.0], [0.0, 1.0]]) * (0.3 - 2j),  # Jordan
+              np.array([[1.0, 1.0], [1e-12, 1.0]]),           # near the EP
+              np.zeros((2, 2)), np.array([[-0.0, 0.0], [-0.0, -0.0]]),
+              np.array([[0.25, 0.125], [-0.0, 0.75]])]
+    return [np.asarray(m, dtype=complex) for m in cases]
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_one_2x2_path_for_one_matrix_and_a_stack():
+    # eigendecompose of a 2x2 keeps the bits of the one-matrix scalar code
+    # (so evolve's doublet outputs stay byte-identical), and each matrix of
+    # a stack gets the bits it gets alone, signed zeros included
+    ms = _two_by_two_inputs()
+    stack = linalg._eig2_system(np.array(ms))
+    for k, m in enumerate(ms):
+        pairs = linalg.eigendecompose(m)
+        values, rights, lefts = _reference_eig2(m)
+        assert _same_bits([p.value for p in pairs], values)
+        assert _same_bits(np.column_stack([p.right for p in pairs]), rights)
+        assert _same_bits(np.column_stack([p.left for p in pairs]), lefts)
+        t, z = linalg._schur2(m)
+        ts, zs = linalg._schur2(m[None])
+        assert _same_bits(t, ts[0]) and _same_bits(z, zs[0])
+        for alone, stacked in zip(linalg._eig2_system(m), stack):
+            assert _same_bits(alone, stacked[k])
+
+
 # ---------------------------------------------------------------------------
 # Hermitian spectra
 # ---------------------------------------------------------------------------
