@@ -241,7 +241,27 @@ def _commands() -> list:
         ("sweep-jc_doublet-near-1e-120",
          ["sweep", "--model", "jc_doublet", "--params", "n=0,eps=5e-121,omega=1e-120",
           "--axis", "rho=0:5e-121:11", "--out", "out/sweep-jc_doublet-near-1e-120"]),
+        # sweeps built as arrays: points the domain rule refuses between
+        # judged ones, and a 2-D grid through s, t < 0
+        ("sweep-jc_doublet-omega-through-0",
+         ["sweep", "--model", "jc_doublet", "--params", "n=0,eps=0.5,rho=0.1",
+          "--axis", "omega=-1:1:5", "--out", "out/sweep-jc_doublet-omega-through-0"]),
+        ("sweep-pt-st-through-negative",
+         ["sweep", "--model", "pt_matrix", "--params", "r=1,theta=0.5,phi=0.3",
+          "--axis", "s=-1:1:5", "--axis", "t=-1:1:5",
+          "--out", "out/sweep-pt-st-through-negative"]),
+        ("sweep-dirac-m0-through-0",
+         ["sweep", "--model", "dirac_scalar", "--params", "kx=0.5,v0=0.2",
+          "--axis", "m0=-0.5:0.5:5", "--out", "out/sweep-dirac-m0-through-0"]),
     ]
+    # the exact EP at rho = 0.25 s of a doublet with every energy scaled by
+    # s = 2^-400 and 2^400: rescaled by a power of two, judged as at s = 1
+    for tag, s in (("2pow-400", 2.0 ** -400), ("2pow400", 2.0 ** 400)):
+        cmds.append((f"sweep-jc_doublet-ep-at-{tag}",
+                     ["sweep", "--model", "jc_doublet",
+                      "--params", f"n=0,eps={0.5 * s!r},omega={s!r}",
+                      "--axis", f"rho=0:{0.5 * s!r}:5",
+                      "--out", f"out/sweep-jc_doublet-ep-at-{tag}"]))
     for family in ("jc_doublet", "dirac_scalar", "pt_matrix"):
         for k in range(41):
             delta = 10.0 ** (-12.0 + k / 4.0)

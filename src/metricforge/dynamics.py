@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg, phase
 from .errors import NotHermitian, NotPositive
 from .linalg import STACK_ENTRIES, as_matrix, as_vector
-from .metric import MetricOperator, metric_inner_product
+from .metric import MetricOperator, _inner
 
 
 @dataclass(frozen=True)
@@ -185,17 +185,19 @@ class DiscriminationReport:
 
 
 def _normalized_overlap(a: np.ndarray, b: np.ndarray,
-                        m: MetricOperator) -> complex:
-    naa = metric_inner_product(a, a, m).real
-    nbb = metric_inner_product(b, b, m).real
+                        mat: np.ndarray) -> complex:
+    """<a|m|b> / sqrt(<a|m|a> <b|m|b>) of checked vectors and matrix."""
+    naa = _inner(a, mat, a).real
+    nbb = _inner(b, mat, b).real
     if naa <= 0.0 or nbb <= 0.0:
         raise NotPositive("metric assigns a non-positive norm to a state")
-    return metric_inner_product(a, b, m) / math.sqrt(naa * nbb)
+    return _inner(a, mat, b) / math.sqrt(naa * nbb)
 
 
-def _check_metric(m: MetricOperator, dim: int) -> None:
-    """NotPositive unless m is a Hermitian positive-definite dim x dim matrix
-    (Hermitian to linalg.HERM_TOL, as hermitian_spectrum judges it)."""
+def _check_metric(m: MetricOperator, dim: int) -> np.ndarray:
+    """The matrix of m; NotPositive unless it is a Hermitian
+    positive-definite dim x dim matrix (Hermitian to linalg.HERM_TOL, as
+    hermitian_spectrum judges it)."""
     mat = as_matrix(m.matrix)
     if mat.shape[0] != dim:
         raise ValueError("metric dimension does not match the pair's basis")
@@ -205,12 +207,18 @@ def _check_metric(m: MetricOperator, dim: int) -> None:
         positive = False
     if not positive:
         raise NotPositive("candidate metric is not Hermitian positive-definite")
+    return mat
 
 
-def _overlaps(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport:
-    identity = MetricOperator(np.eye(pair.psi1.size, dtype=complex), "analytic")
-    std = _normalized_overlap(pair.psi1, pair.psi2, identity)
-    met = _normalized_overlap(pair.psi1, pair.psi2, m)
+def _overlaps(pair: EntangledPair, mat: np.ndarray) -> DiscriminationReport:
+    """discriminate's record of the pair under the checked metric matrix
+    mat: the pair's states are checked once, and both overlaps take the
+    same normalized formula."""
+    a, b = as_vector(pair.psi1), as_vector(pair.psi2)
+    if b.size != a.size:
+        raise ValueError("dimension mismatch")
+    std = _normalized_overlap(a, b, np.eye(a.size, dtype=complex))
+    met = _normalized_overlap(a, b, mat)
     return DiscriminationReport(
         theta=pair.theta,
         standard_overlap=std,
@@ -226,8 +234,7 @@ def discriminate(pair: EntangledPair, m: MetricOperator) -> DiscriminationReport
     NotPositive).  Both overlaps go through the same normalized formula, so
     the identity metric reproduces the standard overlap bit for bit.
     """
-    _check_metric(m, pair.psi1.size)
-    return _overlaps(pair, m)
+    return _overlaps(pair, _check_metric(m, pair.psi1.size))
 
 
 @dataclass(frozen=True)
@@ -250,17 +257,18 @@ def orthogonality_scan(thetas, eps: float, m: MetricOperator) -> ScanResult:
     """Metric overlap of the pair across a theta grid.
 
     The metric is checked once, as discriminate checks it; every grid point
-    and bisection step then takes discriminate's overlaps.  Zero crossings
+    and bisection step then takes discriminate's overlaps (_overlaps), with
+    no check of that matrix per product.  Zero crossings
     of the real part of the metric overlap (the overlap is real for these
     real states and metrics) are refined by phase.bisect to
     1e-12 max(|a|, |b|, 1) of their grid cell [a, b].
     """
-    _check_metric(m, 4)  # the pair basis
+    mat = _check_metric(m, 4)  # the pair basis
     grid = [float(t) for t in thetas]
-    rows = [_overlaps(build_entangled_pair(th, eps), m) for th in grid]
+    rows = [_overlaps(build_entangled_pair(th, eps), mat) for th in grid]
 
     def f(th: float) -> float:
-        return _overlaps(build_entangled_pair(th, eps), m).metric_overlap.real
+        return _overlaps(build_entangled_pair(th, eps), mat).metric_overlap.real
 
     crossings = []
     for a_row, b_row in zip(rows, rows[1:]):

@@ -10,7 +10,11 @@ matrix the bits it gives alone), Hermitian spectra by Householder
 tridiagonalization and implicit QL, and the matrix exponential
 (diagonalization, or Pade-13 scaling and squaring).  The
 eigensolver only decomposes; metric.biorthonormalize alone refuses an
-incomplete eigensystem.  Matrices are plain ``numpy.ndarray`` of
+incomplete eigensystem.  Frobenius norms (frob) scale the entries by a
+power of two before squaring where those squares would under- or overflow,
+and the eigensolver rescales a matrix whose norm lies outside
+[1e-100, 1e100] by a power of two, so the matrix it decomposes is an exact
+multiple of the input.  Matrices are plain ``numpy.ndarray`` of
 complex128; ``numpy`` supplies storage and elementwise arithmetic, never
 its own factorizations.
 
@@ -34,8 +38,8 @@ SINGULAR_TOL = 1e-13
 COND_MAX = 1e8
 QL_MAX_ITERS = 30  # times n, per tridiagonal QL call (LAPACK xSTEQR)
 # matrix entries per stack that one broadcast step holds (16 MB of
-# complex128): the propagators of dynamics.evolve, the 2x2 Hamiltonians of
-# phase.sweep
+# complex128): the propagators of dynamics.evolve, the Hamiltonians of one
+# phase.sweep block (counted at the family's largest size)
 STACK_ENTRIES = 1 << 20
 
 
@@ -46,7 +50,7 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -55,7 +59,7 @@ def as_vector(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex, order="C").reshape(-1)
     if m.size < 1:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("vector entries must be finite")
     return m
 
@@ -65,9 +69,31 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T.copy()
 
 
-def frob(m) -> float:
-    """Frobenius norm."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
+def _ldexp(m: np.ndarray, k) -> np.ndarray:
+    """m 2^k for complex m, exactly: each part by np.ldexp."""
+    out = np.empty(np.broadcast_shapes(m.shape, np.shape(k)), dtype=complex)
+    out.real = np.ldexp(m.real, k)
+    out.imag = np.ldexp(m.imag, k)
+    return out
+
+
+def frob(m, axis=None):
+    """Frobenius norm: a float, or with axis the array of the norms over
+    those axes of a stack's matrices.  Where 1e-150 < max |m_ij| < 1e150 it
+    is sqrt(sum |m_ij|^2); elsewhere those squares would under- or
+    overflow, so the moduli are first scaled by the power of two 2^-e, e the
+    exponent of that max (np.frexp), which is exact."""
+    a = np.abs(np.asarray(m))
+    if axis is None:
+        top = a.max() if a.size else 0.0
+        if top == 0.0 or 1e-150 < top < 1e150:
+            return math.sqrt((a * a).sum())  # the case e = 0 below, faster
+    top = a.max(axis=axis, keepdims=True, initial=0.0)
+    e = np.where((top > 1e-150) & (top < 1e150), 0, np.frexp(top)[1])
+    b = np.ldexp(a, -e)
+    with np.errstate(over="ignore"):  # a norm above the largest float
+        norm = np.ldexp(np.sqrt((b * b).sum(axis=axis, keepdims=True)), e)
+    return norm.item() if axis is None else np.squeeze(norm, axis)
 
 
 @dataclass(frozen=True)
@@ -221,19 +247,20 @@ def _eig2_system(m: np.ndarray):
     """_eigensystem of the finite 2x2 matrices m (..., 2, 2): eigenvalues
     (..., 2), unit right and left eigenvectors (the columns of two
     (..., 2, 2) arrays) and factors (...), each matrix bit for bit the one
-    it gives alone, from the closed forms."""
-    fa = np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    it gives alone, from the closed forms.  The factor rescales as in
+    _eigensystem."""
+    fa = frob(m, axis=(-2, -1))[..., None, None]
     zero = fa == 0.0
     extreme = (fa < 1e-100) | (fa > 1e100)
-    factor = np.where(extreme, fa, 1.0)
+    factor = np.ones(fa.shape)
     a = m
     if extreme.any():
-        with np.errstate(divide="ignore", invalid="ignore"):  # fa = 0
-            scaled = m / factor[..., None, None]
+        # 2^e <= max |m_ij| < 2^(e+1)
+        e = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))[1] - 1
+        factor = np.where(zero, 0.0, np.where(extreme, np.ldexp(1.0, e), 1.0))
         # H = 0 runs the closed forms as I, whose eigenvalues factor = 0
         # zeroes
-        a = np.where(zero[..., None, None], np.eye(2),
-                     np.where(extreme[..., None, None], scaled, m))
+        a = np.where(zero, np.eye(2), np.where(extreme, _ldexp(m, -e), m))
     t, z = _schur2(a)
     # M = Z T Z^H: right vectors Z X from T; left vectors Z Y from T^H,
     # which is upper triangular after reversing its rows and columns
@@ -245,9 +272,10 @@ def _eig2_system(m: np.ndarray):
     lefts = lefts / np.sqrt(np.sum(np.abs(lefts) ** 2, axis=-2, keepdims=True))
     if zero.any():
         eye = np.eye(2, dtype=complex)
-        rights = np.where(zero[..., None, None], eye, rights)
-        lefts = np.where(zero[..., None, None], eye, lefts)
-    return np.stack([t[..., 0, 0], t[..., 1, 1]], axis=-1), rights, lefts, factor
+        rights = np.where(zero, eye, rights)
+        lefts = np.where(zero, eye, lefts)
+    return (np.stack([t[..., 0, 0], t[..., 1, 1]], axis=-1), rights, lefts,
+            factor[..., 0, 0])
 
 
 def _reflector(x: np.ndarray):
@@ -403,10 +431,11 @@ def _triangular_eigvecs(t: np.ndarray) -> np.ndarray:
 def _eigensystem(a: np.ndarray):
     """(values, rights, lefts, factor) of a finite n x n matrix, n != 2,
     from one Schur form: the eigenvalues of M / factor, unsorted, and the
-    unit right and left eigenvectors as columns.  The factor is the
-    Frobenius norm where that lies outside [1e-100, 1e100] (subnormal or
-    huge entries break the fixed absolute thresholds inside the QR
-    kernel), else 1.  H = 0 gives the identity pairs and factor 0."""
+    unit right and left eigenvectors as columns.  Where the Frobenius norm
+    lies outside [1e-100, 1e100] (subnormal or huge entries break the fixed
+    absolute thresholds inside the QR kernel) the factor is the power of
+    two 2^e <= max |m_ij| < 2^(e+1), so M / factor is an exact multiple of
+    M; else it is 1.  H = 0 gives the identity pairs and factor 0."""
     n = a.shape[0]
     fa = frob(a)
     if fa == 0.0:
@@ -414,8 +443,9 @@ def _eigensystem(a: np.ndarray):
         return np.ones(n, dtype=complex), eye, eye, 0.0
     factor = 1.0
     if fa < 1e-100 or fa > 1e100:
-        factor = fa
-        a = a / fa
+        e = math.frexp(np.abs(a).max())[1] - 1
+        factor = math.ldexp(1.0, e)
+        a = _ldexp(a, -e)
     t, z = _schur(a)
     # M = Z T Z^H: right vectors Z X from T; left vectors Z Y from T^H,
     # which is upper triangular after reversing its rows and columns

@@ -213,7 +213,12 @@ def metric_inner_product(a, b, m: MetricOperator) -> complex:
     mat = as_matrix(m.matrix)
     if av.size != mat.shape[0] or bv.size != mat.shape[1]:
         raise ValueError("dimension mismatch")
-    return complex(av.conj() @ mat @ bv)
+    return _inner(av, mat, bv)
+
+
+def _inner(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> complex:
+    """<a|m|b> of checked vectors and matrix (metric_inner_product's)."""
+    return complex(a.conj() @ mat @ b)
 
 
 @dataclass(frozen=True)

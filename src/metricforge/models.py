@@ -8,6 +8,13 @@ metric, and the data for the projector-based metric assembly
 machinery.  That each S intertwines its H is proved by the tests
 (tests/test_models.py), not checked at run time.
 
+Each family also writes its Hamiltonian once, as an array function over
+float parameter arrays (_jc_h, _jc_full_h, _pt_h, _dirac_h); the
+constructors take their H from it at one point, and a sweep builds a whole
+grid block with it (hamiltonians), so both get the same bits.  One domain
+rule per family (_rule) checks parameter values, for one point or for
+arrays of them.
+
 Normalization conventions:
 
 * the left columns of analytic_system are stored with the normalization
@@ -36,6 +43,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidParams
+from .linalg import _cmul
 from .metric import BiorthSystem, DasConstruction, MetricOperator
 
 PHASE_UNBROKEN = "unbroken"
@@ -58,10 +66,7 @@ class JCParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.hbar <= 0:
-            raise InvalidParams("omega and hbar must be positive")
-        if self.n < 0:
-            raise InvalidParams("doublet index n must be >= 0")
+        _refuse("jc_doublet", vars(self))
 
     def discriminant(self) -> float:
         hw = self.hbar * self.omega
@@ -95,8 +100,7 @@ class DiracParams:
     v0: float = 0.0
 
     def __post_init__(self):
-        if self.m0 < 0 or self.c <= 0 or self.hbar <= 0:
-            raise InvalidParams("need m0 >= 0, c > 0, hbar > 0")
+        _refuse("dirac_scalar", vars(self))
 
     def discriminant(self) -> float:
         return (self.hbar * self.c * self.kx) ** 2 + (self.m0 * self.c ** 2) ** 2 - self.v0 ** 2
@@ -166,11 +170,37 @@ def _two_level(family: str, p, h, s, disc: float, scale: float,
 # Spin-1/2 x oscillator doublet
 # ---------------------------------------------------------------------------
 
+def _matrices(a00, a01, a10, a11) -> np.ndarray:
+    """The complex 2x2 matrices [[a00, a01], [a10, a11]] (..., 2, 2) over
+    entry arrays of a00's shape (the others broadcast to it)."""
+    h = np.empty(np.shape(a00) + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = a00, a01, a10, a11
+    return h
+
+
+def _at(family: str, p, *args) -> np.ndarray:
+    """The Hamiltonian of the record p from the family's array form (_H),
+    given args and then the record's fields that the form reads, as
+    floats: each operation rounds as it does at every position of an array.
+    An entry overflows to inf, or inf - inf gives nan, without a warning."""
+    names = _H_ARGS[family]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _H[family](*args, **{k: float(x) for k, x in vars(p).items()
+                                    if k in names})
+
+
+def _jc_h(n, epsilon, omega, rho, hbar) -> np.ndarray:
+    """The doublet Hamiltonians [[eps/2 + n hw, b], [-b, -eps/2 + (n+1) hw]],
+    hw = hbar omega and b = rho sqrt(n + 1), over float arrays."""
+    hw = hbar * omega
+    b = rho * np.sqrt(n + 1)
+    return _matrices(epsilon / 2 + n * hw, b, -b, -epsilon / 2 + (n + 1) * hw)
+
+
 def jc_doublet(p: JCParams) -> ModelInstance:
     hw = p.hbar * p.omega
     b = p.rho * math.sqrt(p.n + 1)
-    h = np.array([[p.epsilon / 2 + p.n * hw, b],
-                  [-b, -p.epsilon / 2 + (p.n + 1) * hw]], dtype=complex)
+    h = _at("jc_doublet", p)
     s = np.diag([1.0 + 0j, -1.0 + 0j])
 
     def closed_forms(_root):
@@ -195,9 +225,18 @@ def _direct_sum(first, blocks) -> np.ndarray:
     k = blocks.shape[-3]
     m = np.zeros(blocks.shape[:-3] + (2 * k + 1, 2 * k + 1), dtype=complex)
     m[..., 0, 0] = first
-    at = 1 + 2 * np.arange(k)[:, None, None]
-    m[..., at + [[0], [1]], at + [0, 1]] = blocks
+    # block by block: cheaper than one fancy-indexed copy at a few levels
+    for j in range(1, 2 * k, 2):
+        m[..., j:j + 2, j:j + 2] = blocks[..., j // 2, :, :]
     return m
+
+
+def _jc_full_h(levels: int, epsilon, omega, rho, hbar) -> np.ndarray:
+    """The jc_full Hamiltonians (..., 2 levels + 1, 2 levels + 1) over float
+    arrays: the ground entry -eps/2, then the doublets n = 0..levels-1."""
+    blocks = _jc_h(np.arange(levels, dtype=float), *(
+        np.asarray(x)[..., None] for x in (epsilon, omega, rho, hbar)))
+    return _direct_sum(-epsilon / 2.0, blocks)
 
 
 def jc_full(p: JCParams, levels: int) -> ModelInstance:
@@ -206,11 +245,10 @@ def jc_full(p: JCParams, levels: int) -> ModelInstance:
 
     Basis order: |0,-1/2>, then {|n,+1/2>, |n+1,-1/2>} for n = 0..levels-1.
     """
-    if levels < 1:
-        raise InvalidParams("levels must be >= 1")
+    _refuse("jc_full", {**vars(p), "levels": levels})
     doublets = [jc_doublet(replace(p, n=n)) for n in range(levels)]
     ground = -p.epsilon / 2.0
-    h = _direct_sum(ground, [d.hamiltonian for d in doublets])
+    h = _at("jc_full", p, levels)
     s = _direct_sum(-1.0, [d.similarity for d in doublets])
     vals = [complex(ground), *(v for d in doublets for v in d.analytic_eigenvalues)]
     params = dict(vars(p), levels=levels)
@@ -256,10 +294,18 @@ def jc_full(p: JCParams, levels: int) -> ModelInstance:
 # 2x2 PT-symmetric matrix
 # ---------------------------------------------------------------------------
 
+def _pt_h(r, s, t, theta, phi) -> np.ndarray:
+    """[[r e^{i theta}, s e^{i phi}], [t e^{-i phi}, r e^{-i theta}]] over
+    float arrays.  Each product is linalg._cmul's, rounded as a scalar
+    float times a complex is (a zero imaginary part keeps the sign of
+    r sin theta + 0 cos theta where r sin theta underflows)."""
+    return _matrices(_cmul(r, np.exp(1j * theta)), _cmul(s, np.exp(1j * phi)),
+                     _cmul(t, np.exp(-1j * phi)), _cmul(r, np.exp(-1j * theta)))
+
+
 def pt_matrix(p: PTParams) -> ModelInstance:
     r, th, ph = p.r, p.theta, p.phi
-    h = np.array([[r * np.exp(1j * th), p.s * np.exp(1j * ph)],
-                  [p.t * np.exp(-1j * ph), r * np.exp(-1j * th)]])
+    h = _at("pt_matrix", p)
     sim = np.array([[0.0, np.exp(1j * ph)], [np.exp(-1j * ph), 0.0]])
     big_r = r * math.sin(th)
     # unbroken means s t > r^2 sin^2 theta >= 0, so s and t share a sign;
@@ -308,11 +354,20 @@ def _dirac_similarity(mc2: float, cp: float) -> np.ndarray:
     return np.array([[mc2, cp], [cp, -mc2]], dtype=complex)
 
 
+def _dirac_h(m0, c, hbar, kx, v0) -> np.ndarray:
+    """[[m c^2, c p + v0], [c p - v0, -m c^2]], p = hbar kx, over float
+    arrays.  c^2 is float_power's, which rounds as the scalar c ** 2 does
+    at every position of an array (numpy's power need not)."""
+    mc2 = m0 * np.float_power(c, 2)
+    cp = c * hbar * kx
+    return _matrices(mc2, cp + v0, cp - v0, -mc2)
+
+
 def dirac_scalar(p: DiracParams) -> ModelInstance:
     mc2 = p.m0 * p.c ** 2
     cp = p.c * p.hbar * p.kx
     v0 = p.v0
-    h = np.array([[mc2, cp + v0], [cp - v0, -mc2]], dtype=complex)
+    h = _at("dirac_scalar", p)
 
     def closed_forms(e):
         big_m = e + mc2
@@ -397,33 +452,147 @@ def _check_fixed_params(family: str, params: dict, varied) -> None:
     _parse_params(family, _without(params, varied))
 
 
+def _number(value) -> float:
+    """A parameter value as a float: nan for a boolean, or for a value that
+    float() refuses."""
+    if isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _rule(family: str, given, v: dict):
+    """The family's domain rule, as (fails, refusal) pairs in the order it
+    applies them, over the values v: canonical names mapped to floats, or
+    to float arrays over points, with every parameter the rule reads.
+
+    First, for each name in given (as given, aliases allowed), a value that
+    is not a finite number, then for n and levels one that is not an
+    integer; then jc_full's levels outside 1..MAX_LEVELS; then the record's
+    own checks: omega > 0, hbar > 0 and n >= 0 for the doublets, m0 >= 0,
+    c > 0 and hbar > 0 for the Dirac model.  A refusal is the message, or
+    for a value check the pair (name, what) that _message completes."""
+    for key in given:
+        name = _ALIASES.get(key, key)
+        x = v[name]
+        # x - x is 0 exactly where x is finite, for a float or an array
+        yield x - x != 0, (key, "is not a finite number")
+        if name in _INT_KEYS:
+            yield x % 1 != 0, (key, "is not an integer")
+    if family == "jc_full":
+        yield ((v["levels"] < 1) | (v["levels"] > MAX_LEVELS),
+               f"levels must be in 1..{MAX_LEVELS}")
+    if family in ("jc_doublet", "jc_full"):
+        yield ((v["omega"] <= 0) | (v["hbar"] <= 0),
+               "omega and hbar must be positive")
+        yield v["n"] < 0, "doublet index n must be >= 0"
+    elif family == "dirac_scalar":
+        yield ((v["m0"] < 0) | (v["c"] <= 0) | (v["hbar"] <= 0),
+               "need m0 >= 0, c > 0, hbar > 0")
+
+
+def _message(refusal, values: dict) -> str:
+    """The text of a refusal of _rule, values holding the given values by
+    the names as given."""
+    if isinstance(refusal, str):
+        return refusal
+    key, what = refusal
+    return f"parameter {key!r} value {values[key]!r} {what}"
+
+
+def _refuse(family: str, v: dict, given=(), values=None) -> None:
+    """Raise InvalidParams with the first refusal of the family's rule at
+    the one point v (values: the given values, for the message)."""
+    for fails, refusal in _rule(family, given, v):
+        if fails:
+            raise InvalidParams(_message(refusal, values))
+
+
 def _parse_params(family: str, params: dict):
     """The family's parameter record and the jc_full level count (default 1)
     from a flat mapping.  Raises InvalidParams for an unknown family, an
-    unknown name, two names of one parameter (eps and epsilon), a value
-    that is not a finite number (booleans included), a non-integer n or
-    levels, or levels outside 1..MAX_LEVELS."""
+    unknown name, two names of one parameter (eps and epsilon), or a value
+    that the family's rule refuses (_rule): one that is not a finite number
+    (booleans included), a non-integer n or levels, levels outside
+    1..MAX_LEVELS, or a value outside the record's domain."""
     _check_param_names(family, params)
-    kw = {}
-    for key, value in params.items():
-        k = _ALIASES.get(key, key)
-        try:
-            x = math.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError):
-            x = math.nan
-        if not math.isfinite(x):
-            raise InvalidParams(
-                f"parameter {key!r} value {value!r} is not a finite number")
-        if k in _INT_KEYS:
-            if not x.is_integer():
-                raise InvalidParams(
-                    f"parameter {key!r} value {value!r} is not an integer")
-            x = int(x)
-        kw[k] = x
-    levels = kw.pop("levels", 1)
-    if not 1 <= levels <= MAX_LEVELS:
-        raise InvalidParams(f"levels must be in 1..{MAX_LEVELS}")
-    return _PARAM_TYPES[family](**kw), levels
+    given = {_ALIASES.get(k, k): _number(x) for k, x in params.items()}
+    _refuse(family, {**_DEFAULTS[family], **given}, params, params)
+    for k in _INT_KEYS & given.keys():
+        given[k] = int(given[k])
+    levels = given.pop("levels", 1)
+    return _PARAM_TYPES[family](**given), levels
+
+
+# every parameter's default (jc_full: one level), and the array form of
+# each family's Hamiltonian with the parameters it reads
+_DEFAULTS = {family: {f.name: f.default for f in fields(cls)}
+             for family, cls in _PARAM_TYPES.items()}
+_DEFAULTS["jc_full"]["levels"] = 1
+_H = {"jc_doublet": _jc_h, "jc_full": _jc_full_h, "pt_matrix": _pt_h,
+      "dirac_scalar": _dirac_h}
+_H_ARGS = {family: names - {"levels"} for family, names in _PARAM_NAMES.items()}
+
+
+def largest_size(family: str) -> int:
+    """The size of the largest Hamiltonian the family builds: jc_full's at
+    MAX_LEVELS levels, else 2."""
+    return 2 * MAX_LEVELS + 1 if family == "jc_full" else 2
+
+
+def hamiltonians(family: str, base: dict, axes: list, at) -> tuple:
+    """The Hamiltonians of points of a grid, built as arrays, and the points
+    that the family's domain rule refuses.
+
+    The grid is row-major over axes [(name, values), ...], with base giving
+    the other parameters; a name on two axes takes the later one's values,
+    as in a dict.  at holds the points' indices along each axis
+    (np.unravel_index).  Each value is read as _parse_params reads it, and
+    _rule runs over all points at once.  Returns (stacks, refused): stacks
+    lists (k, hs), hs (len(k), n, n) the Hamiltonians of the points at
+    positions k of at, one stack per matrix size (per levels for jc_full);
+    refused maps the position of each refused point to the InvalidParams
+    that _parse_params raises for that point alone.  Raises InvalidParams
+    for an unknown family or name, or a parameter given twice (aliases
+    resolved): every point's error.
+    """
+    last = {name: i for i, (name, _) in enumerate(axes)}
+    given = [*base, *last]
+    _check_param_names(family, given)
+    size = len(at[0])
+    v = dict(_DEFAULTS[family])
+    for key, x in base.items():
+        v[_ALIASES.get(key, key)] = _number(x)
+    for key, i in last.items():
+        # each value of the axis that a point reads, converted once
+        seen, where = np.unique(at[i], return_inverse=True)
+        values = axes[i][1]
+        v[_ALIASES.get(key, key)] = np.array(
+            [_number(values[j]) for j in seen.tolist()])[where]
+    first = np.full(size, -1)  # each point's first refusal, or -1
+    refusals = []
+    with np.errstate(invalid="ignore"):  # inf - inf, or inf % 1
+        for fails, refusal in _rule(family, given, v):
+            first[(first < 0) & fails] = len(refusals)
+            refusals.append(refusal)
+    refused = {}
+    for k in np.flatnonzero(first >= 0).tolist():
+        values = {**base, **{key: axes[i][1][at[i][k]] for key, i in last.items()}}
+        refused[k] = InvalidParams(_message(refusals[first[k]], values))
+    ok = np.flatnonzero(first < 0)
+    args = {name: np.broadcast_to(np.asarray(v[name], dtype=float), (size,))[ok]
+            for name in _H_ARGS[family]}
+    levels = np.broadcast_to(v.get("levels", 0), (size,))[ok]
+    stacks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _at
+        for n in np.unique(levels).tolist():
+            pick = levels == n
+            lead = (int(n),) if family == "jc_full" else ()
+            stacks.append((ok[pick], _H[family](
+                *lead, **{name: x[pick] for name, x in args.items()})))
+    return stacks, refused
 
 
 def build(family: str, params: dict) -> ModelInstance:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, metric, models
-from .errors import DefectiveSystem, NoBracket
+from .errors import DefectiveSystem, InvalidParams, NoBracket
 from .linalg import DEFECT_TOL
 from .metric import REAL_TOL
 from .models import PHASE_BROKEN, PHASE_EXCEPTIONAL, PHASE_UNBROKEN
@@ -83,7 +82,7 @@ def _label_2x2(hs: np.ndarray, *, real_tol: float, defect_tol: float):
     of 1 - |w_0^H w_1|.
     """
     vals, rights, lefts, factor = linalg._eig2_system(hs)
-    scale = np.maximum(np.sqrt(np.sum(np.abs(hs) ** 2, axis=(-2, -1))), 1e-300)
+    scale = np.maximum(linalg.frob(hs, axis=(-2, -1)), 1e-300)
     max_imag = np.max(np.abs(vals.imag), axis=-1) * factor
     # pair k as rows k of two contiguous arrays, so that <l_k|r_k> rounds
     # as linalg.defect_indicator's product of two vectors does, and its
@@ -165,9 +164,12 @@ def _classify_2x2(hs: np.ndarray, params: list, *, real_tol: float,
                                           min_eig.tolist())]
 
 
-def _stacks(h) -> bool:
-    """Whether _label_2x2 takes h: 2x2, with finite entries and norm."""
-    return h.shape == (2, 2) and math.isfinite(linalg.frob(h))
+def _stacks(hs: np.ndarray) -> np.ndarray:
+    """Whether _label_2x2 takes each matrix of hs (..., n, n): 2x2, with
+    finite entries and norm."""
+    if hs.shape[-2:] != (2, 2):
+        return np.zeros(hs.shape[:-2], dtype=bool)
+    return np.isfinite(linalg.frob(hs, axis=(-2, -1)))
 
 
 def classify(h, *, real_tol: float = REAL_TOL,
@@ -235,49 +237,67 @@ def find_exceptional(family: str, base_params: dict, param: str,
     return bisect(disc, lo, hi, f_lo, ep_tol * abs(hi - lo))
 
 
+def _error(params: dict, exc: Exception) -> PhasePoint:
+    """The record of a point that could not be built or judged."""
+    return PhasePoint(params=params, classification="error",
+                      min_imag_gap=float("nan"), defect_indicator=float("nan"),
+                      error=f"{type(exc).__name__}: {exc}")
+
+
+def _classify_alone(h, params: dict, **tols) -> PhasePoint:
+    """classify of one point, a failure recorded in its point."""
+    try:
+        return classify(h, params=params, **tols)
+    except Exception as exc:  # record, keep sweeping
+        return _error(params, exc)
+
+
 def sweep(family: str, base_params: dict, axes: list, *,
           real_tol: float = REAL_TOL, defect_tol: float = DEFECT_TOL) -> PhaseDiagram:
     """Classify on the full cartesian grid, row-major over the axes.
 
-    Each point is built with models.build; a point whose build fails
-    records the error, never aborting the sweep.  The 2x2 Hamiltonians
-    with finite entries and norm are judged together, by _classify_2x2 on
-    stacks of at most linalg.STACK_ENTRIES matrix entries; any other point
-    by classify alone, a failure again recorded in the point.
+    The grid is taken in blocks of at most linalg.STACK_ENTRIES matrix
+    entries (at the family's largest size), and models.hamiltonians builds
+    each block's Hamiltonians as arrays, bit for bit those of models.build.
+    A point whose values the family's domain rule refuses records the error
+    models.build raises for it, never aborting the sweep.  The 2x2
+    Hamiltonians with finite entries and norm are judged together, by
+    _classify_2x2; any other point (jc_full, or a 2x2 whose entries or norm
+    are not finite) by classify alone, a failure again recorded in the
+    point.
     """
     if not axes or any(len(v) == 0 for _, v in axes):
         raise ValueError("grids must be non-empty")
     names = [n for n, _ in axes]
     base = models._without(base_params, names)
-    grid = itertools.product(*[v for _, v in axes])
+    coords = [np.array([float(x) for x in v]) for _, v in axes]
+    shape = [len(v) for _, v in axes]
+    size = math.prod(shape)
+    step = linalg.STACK_ENTRIES // models.largest_size(family) ** 2
+    tols = {"real_tol": real_tol, "defect_tol": defect_tol}
     points = []
-    while block := list(itertools.islice(grid, linalg.STACK_ENTRIES // 4)):
-        judged = [None] * len(block)
-        stack, at = [], []
-        for k, combo in enumerate(block):
-            p = dict(base)
-            p.update(zip(names, combo))
-            coords = {n: float(c) for n, c in zip(names, combo)}
-            try:
-                h = models.build(family, p).hamiltonian
-                if _stacks(h):
-                    stack.append(h)
-                    at.append((k, coords))
-                else:
-                    judged[k] = classify(h, real_tol=real_tol,
-                                         defect_tol=defect_tol, params=coords)
-            except Exception as exc:  # record, keep sweeping
-                judged[k] = PhasePoint(params=coords, classification="error",
-                                       min_imag_gap=float("nan"),
-                                       defect_indicator=float("nan"),
-                                       error=f"{type(exc).__name__}: {exc}")
-        if stack:
-            pts = _classify_2x2(np.array(stack), [c for _, c in at],
-                                real_tol=real_tol, defect_tol=defect_tol)
-            for (k, _), pt in zip(at, pts):
-                judged[k] = pt
+    for start in range(0, size, step):
+        at = np.unravel_index(np.arange(start, min(start + step, size)), shape)
+        params = [dict(zip(names, c))
+                  for c in zip(*(x[i].tolist() for x, i in zip(coords, at)))]
+        judged = [None] * len(params)
+        try:
+            stacks, refused = models.hamiltonians(family, base, axes, at)
+        except InvalidParams as exc:  # a name: every point's error
+            stacks, refused = [], dict.fromkeys(range(len(params)), exc)
+        for k, exc in refused.items():
+            judged[k] = _error(params[k], exc)
+        for ks, hs in stacks:
+            stacked = _stacks(hs)
+            for k, h in zip(ks[~stacked].tolist(), hs[~stacked]):
+                judged[k] = _classify_alone(h, params[k], **tols)
+            if stacked.any():
+                ks = ks[stacked].tolist()
+                pts = _classify_2x2(hs[stacked], [params[k] for k in ks], **tols)
+                for k, pt in zip(ks, pts):
+                    judged[k] = pt
         points += judged
-    return PhaseDiagram(axes=[(n, [float(x) for x in v]) for n, v in axes],
+    return PhaseDiagram(axes=[(n, x.tolist()) for n, x in zip(names, coords)],
                         points=points)
 
 

@@ -512,7 +512,8 @@ def test_jc_full_refuses_doublet_index_exit_4(capsys, argv):
 def test_sweep_repeated_axis_exit_4(capsys, monkeypatch, axes):
     # the later axis would override the earlier at every point; refused
     # before any model is built
-    monkeypatch.setattr(models, "build", lambda *a, **k: pytest.fail("built"))
+    monkeypatch.setattr(models, "hamiltonians",
+                        lambda *a, **k: pytest.fail("built"))
     argv = ["sweep", "--model", "jc_doublet"]
     for axis in axes:
         argv += ["--axis", axis]
@@ -641,13 +642,21 @@ def test_sweep_single_point(capsys, tmp_path):
 def test_overridden_base_value_is_not_built(capsys, monkeypatch, argv, name,
                                             base):
     # ep and sweep build or judge the model only at their own values of
-    # the varied parameter, never at its base value
+    # the varied parameter, never at its base value; the sweep builds H
+    # with the array form (s is H_01 at phi = 0)
     seen = []
     for attr in ("build", "discriminant"):
         def wrapped(family, params, _inner=getattr(models, attr)):
             seen.append(float(params[name]))
             return _inner(family, params)
         monkeypatch.setattr(models, attr, wrapped)
+
+    def hamiltonians(*args, _inner=models.hamiltonians):
+        stacks, refused = _inner(*args)
+        seen.extend(x for _, hs in stacks for x in hs[:, 0, 1].real.tolist())
+        return stacks, refused
+
+    monkeypatch.setattr(models, "hamiltonians", hamiltonians)
     doc = run_json(capsys, argv)
     assert seen and base not in seen
     if argv[0] == "ep":

@@ -1,5 +1,7 @@
 """Dense linear-algebra kernels checked against numpy/scipy oracles."""
 
+import math
+
 import numpy as np
 import numpy.linalg as npl
 import pytest
@@ -235,8 +237,11 @@ def _reference_eig2(m):
     if fa == 0.0:
         eye = np.eye(2, dtype=complex)
         return np.zeros(2, dtype=complex), eye, eye
-    factor = fa if fa < 1e-100 or fa > 1e100 else 1.0
-    a = m / fa if factor != 1.0 else m
+    factor = 1.0
+    if fa < 1e-100 or fa > 1e100:
+        # the power of two 2^e <= max |m_ij| < 2^(e+1)
+        factor = math.ldexp(1.0, math.frexp(float(np.max(np.abs(m))))[1] - 1)
+    a = m / factor if factor != 1.0 else m
 
     def vector(lam):
         b = a - lam * np.eye(2)

@@ -1,5 +1,6 @@
 """Phase classification, exceptional-point bisection and grid sweeps."""
 
+import itertools
 import math
 import warnings
 
@@ -240,25 +241,41 @@ def test_stacked_judge_near_exceptional_points(family):
 
 @pytest.mark.parametrize("scale", [2.0 ** -400, 2.0 ** 400])
 def test_stacked_judge_scaled_entries(scale):
-    # entries near 1e-120 and 1e120 take the 1e+-100 rescale (a division
-    # by ||H||_F, which moves an exact EP off its point, so none is swept)
-    axes = [("rho", [x * scale for x in (0.0, 0.1, 0.2, 0.3)])]
+    # entries near 1e-120 and 1e120 take the 1e+-100 rescale, a division by
+    # a power of two: the matrix judged is an exact multiple of the one at
+    # scale 1, so every label and number is that of scale 1, the exact EP
+    # at rho = 0.25 included
+    grid = [0.0, 0.1, 0.2, 0.25, 0.3]
+    axes = [("rho", [x * scale for x in grid])]
     base = {"epsilon": 0.5 * scale, "omega": 1.0 * scale}
     d = _sweep_strictly("jc_doublet", base, axes)
-    one = _sweep_strictly("jc_doublet", {"epsilon": 0.5},
-                          [("rho", [0.0, 0.1, 0.2, 0.3])])
+    one = _sweep_strictly("jc_doublet", {"epsilon": 0.5}, [("rho", grid)])
     assert [p.classification for p in d.points] \
         == [p.classification for p in one.points] \
-        == ["unbroken", "unbroken", "unbroken", "broken"]
+        == ["unbroken", "unbroken", "unbroken", "exceptional", "broken"]
     for pt, ref in zip(d.points, one.points):
-        assert pt.defect_indicator == pytest.approx(ref.defect_indicator,
-                                                    rel=1e-12)
-        assert pt.min_imag_gap == pytest.approx(ref.min_imag_gap * scale,
-                                                rel=1e-12)
-        if ref.metric_min_eig is not None:
-            assert pt.metric_min_eig == pytest.approx(ref.metric_min_eig,
-                                                      rel=1e-12)
+        assert (pt.defect_indicator, pt.min_imag_gap, pt.metric_min_eig) \
+            == (ref.defect_indicator, ref.min_imag_gap * scale,
+                ref.metric_min_eig)
     _assert_judged("jc_doublet", base, axes, d)
+
+
+def test_extreme_entries_are_decomposed():
+    # the squares in ||H||_F no longer under- or overflow: entries near
+    # 1e-170 are not H = 0, and entries near 1e300 are judged, not refused
+    pairs = linalg.eigendecompose(1e-170 * np.array([[1.0, 1.0], [0.0, 3.0]]))
+    assert [p.value for p in pairs] == pytest.approx([1e-170, 3e-170],
+                                                     rel=1e-15)
+    h = 1e300 * np.array([[0.25, 0.125], [-0.125, 0.75]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = phase.classify(h)
+        d = phase.sweep("jc_doublet", {"epsilon": 0.5e300, "omega": 1e300},
+                        [("rho", [0.125e300, 0.3e300])])
+    ref = phase.classify(h / 1e300)
+    assert (pt.classification, pt.metric_min_eig) == ("unbroken", pytest.approx(
+        ref.metric_min_eig, rel=1e-14))
+    assert [p.classification for p in d.points] == ["unbroken", "broken"]
 
 
 def test_stacked_judge_zero_and_scalar_hamiltonians():
@@ -286,22 +303,117 @@ def test_stacked_judge_records_a_non_finite_point_alone():
         assert d.points[k] == alone.points[0]
 
 
+def _record(family, base, point, _build=models.build):
+    """The point as the per-point sweep recorded it: models.build, then
+    classify, a failure recorded in the point."""
+    coords = {n: float(x) for n, x in point.items()}
+    try:
+        h = _build(family, {**base, **point}).hamiltonian
+        return phase.classify(h, params=coords)
+    except Exception as exc:
+        return phase.PhasePoint(params=coords, classification="error",
+                                min_imag_gap=float("nan"),
+                                defect_indicator=float("nan"),
+                                error=f"{type(exc).__name__}: {exc}")
+
+
+def _assert_per_point(family, base, axes, diagram):
+    """Each point of the diagram is its per-point record, bit for bit (repr
+    tells signed zeros and nan apart)."""
+    names = [n for n, _ in axes]
+    combos = list(itertools.product(*[v for _, v in axes]))
+    assert len(combos) == len(diagram.points)
+    for combo, pt in zip(combos, diagram.points):
+        assert repr(pt) == repr(_record(family, base, dict(zip(names, combo))))
+
+
 def test_sweep_of_mixed_sizes_keeps_grid_order(monkeypatch):
-    # jc_full is never 2x2 (the per-point judge); interleaved with 2x2
-    # doublets, each point keeps its place and its own judge's record
-    build = models.build
+    # refused points between stacked 2x2 points, and jc_full levels of three
+    # sizes between refused ones: one call of the array form per block, one
+    # stack per size, no models.build, and each point keeps its place and
+    # its own record
+    calls = []
 
-    def mixed(family, params):
-        if params["rho"] in (0.1, 0.3):
-            return build("jc_full", {"levels": 2, "rho": params["rho"]})
-        return build(family, params)
+    def spy(*args, _inner=models.hamiltonians):
+        stacks, refused = _inner(*args)
+        calls.append(([hs.shape[1:] for _, hs in stacks], sorted(refused)))
+        return stacks, refused
 
-    monkeypatch.setattr(models, "build", mixed)
-    grid = [0.0, 0.1, 0.2, 0.3, 0.4]
-    d = _sweep_strictly("jc_doublet", {}, [("rho", grid)])
-    for rho, pt in zip(grid, d.points):
-        assert pt == phase.classify(mixed("jc_doublet", {"rho": rho}).hamiltonian,
-                                    params={"rho": rho})
+    monkeypatch.setattr(models, "hamiltonians", spy)
+    monkeypatch.setattr(models, "build", lambda *a: pytest.fail("built"))
+    for family, base, axes, call, labels in [
+            ("jc_doublet", {"rho": 0.1}, [("omega", [1.0, -1.0, 1.5, 0.0, 2.0])],
+             ([(2, 2)], [1, 3]), ["unbroken", "error"] * 2 + ["unbroken"]),
+            ("jc_full", {"rho": 0.05}, [("levels", [2, 0, 1, 65, 2, 3])],
+             ([(3, 3), (5, 5), (7, 7)], [1, 3]),
+             ["unbroken", "error", "unbroken", "error", "unbroken", "unbroken"])]:
+        calls.clear()
+        d = _sweep_strictly(family, base, axes)
+        assert calls == [call]
+        assert [p.classification for p in d.points] == labels
+        _assert_per_point(family, base, axes, d)
+
+
+# each family with the parameters that carry its energies, a base and two
+# axes through its EP at energy scale 1
+_ENERGY_GRIDS = {
+    "jc_doublet": (("epsilon", "omega", "rho"),
+                   {"n": 1, "epsilon": 0.5, "omega": 1.0},
+                   ("rho", np.linspace(0.0, 0.4, 9)), ("epsilon", [0.25, 0.5])),
+    "jc_full": (("epsilon", "omega", "rho"), {"epsilon": 0.5, "omega": 1.0},
+                ("rho", np.linspace(0.0, 0.3, 5)), ("epsilon", [0.25, 0.5])),
+    "pt_matrix": (("r", "s", "t"), {"r": 1.0, "theta": 0.5, "phi": 0.3, "s": 1.0},
+                  ("t", np.linspace(-1.0, 1.0, 9)), ("s", [-1.0, 0.5])),
+    "dirac_scalar": (("m0", "kx", "v0"), {"m0": 1.0, "kx": 0.3},
+                     ("v0", np.linspace(0.0, 2.0, 9)), ("kx", [0.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("family, levels", [
+    ("jc_doublet", None), ("pt_matrix", None), ("dirac_scalar", None),
+    ("jc_full", 1), ("jc_full", 2), ("jc_full", 12)])
+def test_sweep_point_is_classify_of_build(family, levels, scale):
+    # the array form and models.build give the same H bits, so each point
+    # of a 1-D and a 2-D sweep is classify of the model built there
+    energies, base, first, second = _ENERGY_GRIDS[family]
+    base = {k: x * scale if k in energies else x for k, x in base.items()}
+    if levels is not None:
+        base["levels"] = levels
+    axes = [(name, [x * scale if name in energies else x for x in values])
+            for name, values in (first, second)]
+    for grid in (axes[:1], axes):
+        d = _sweep_strictly(family, models._without(base, [n for n, _ in grid]),
+                            grid)
+        _assert_per_point(family, base, grid, d)
+
+
+@pytest.mark.parametrize("family, base, axes, errors", [
+    ("jc_doublet", {"rho": 0.1}, [("omega", [-1.0, 0.0, 1.0]),
+                                  ("hbar", [-1.0, 0.0, 1.0])],
+     ["InvalidParams: omega and hbar must be positive"]),
+    ("jc_doublet", {"rho": 0.1}, [("n", [-1.0, 0.0, 0.5, 1.0])],
+     ["InvalidParams: doublet index n must be >= 0",
+      "InvalidParams: parameter 'n' value 0.5 is not an integer"]),
+    ("dirac_scalar", {"v0": 0.2}, [("m0", [-0.5, 0.0, 0.5]),
+                                   ("c", [-1.0, 0.0, 1.0])],
+     ["InvalidParams: need m0 >= 0, c > 0, hbar > 0"]),
+    ("jc_full", {"rho": 0.05}, [("levels", [0, 1, 65])],
+     ["InvalidParams: levels must be in 1..64"]),
+    ("pt_matrix", {}, [("s", [math.nan, 1.0]), ("t", [1.0, math.inf])],
+     ["InvalidParams: parameter 's' value nan is not a finite number",
+      "InvalidParams: parameter 't' value inf is not a finite number"]),
+    ("jc_doublet", {"rho": "abc"}, [("omega", [1.0, 2.0])],
+     ["InvalidParams: parameter 'rho' value 'abc' is not a finite number"]),
+    ("jc_doublet", {"omega": 4.0, "rho": 0.1}, [("n", [0.0, 8.9e307])],
+     ["ValueError: matrix entries must be finite"]),
+], ids=["omega-hbar", "n", "m0-c", "levels", "nan-inf", "base", "overflow"])
+def test_sweep_records_each_refusal(family, base, axes, errors):
+    # across each edge of the family's domain, every point's record is the
+    # per-point path's, error text included
+    d = _sweep_strictly(family, base, axes)
+    assert sorted({p.error for p in d.points} - {None}) == errors
+    _assert_per_point(family, base, axes, d)
 
 
 def test_jc_full_sweep_over_levels():
